@@ -9,6 +9,10 @@ two contracts the executor makes:
 * **bit-identity** — every per-point :class:`JobResult` fingerprint
   (sha256 of the canonical-JSON serialization) matches between the
   serial and parallel runs, unconditionally;
+* **pinned results** — a per-point digest of the fault-free simulated
+  outcome (execution time and counters, not the ``JobConf``) is exported
+  as ``digests`` and must match the committed baseline exactly, so a
+  refactor that moves any fault-free result fails the trend gate;
 * **speedup** — wall-clock improves by at least
   ``REPRO_SWEEP_MIN_SPEEDUP`` (default 3x with 4 workers), asserted
   only when the machine actually has at least as many CPUs as workers.
@@ -39,13 +43,18 @@ def _min_speedup() -> float:
     return float(os.environ.get("REPRO_SWEEP_MIN_SPEEDUP", 3.0))
 
 
-def _point_fingerprints(fig) -> dict[str, str]:
-    """``{"<series>@<x>": sha256}`` for every job in the figure."""
+def _point_fingerprints(fig, view=lambda result: result) -> dict[str, str]:
+    """``{"<series>@<x>": sha256 of view(result)}`` for every job in the figure."""
     out = {}
     for series in fig.series:
         for x, result in sorted(series.results.items()):
-            out[f"{series.label}@{x:g}"] = fingerprint(result)
+            out[f"{series.label}@{x:g}"] = fingerprint(view(result))
     return out
+
+
+def _outcome(result):
+    """A job's simulated outcome only (no JobConf: its fields come and go)."""
+    return (result.execution_time, sorted(result.counters.items()))
 
 
 def test_parallel_sweep_is_bit_identical_and_faster(benchmark):
@@ -101,5 +110,6 @@ def test_parallel_sweep_is_bit_identical_and_faster(benchmark):
         "speedup": speedup,
         "speedup_enforced": speedup_enforced,
         "fingerprints_equal": fingerprints_equal,
+        "digests": _point_fingerprints(serial, _outcome),
     }
     write_json_atomic(payload, os.path.join(out_dir, "BENCH_sweep.json"))

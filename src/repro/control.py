@@ -88,21 +88,21 @@ _MIGRATIONS_PER_TICK = 1
 class _Attempt:
     """One live reduce attempt the controller can observe and actuate."""
 
-    __slots__ = ("reduce_id", "tt_name", "consumer", "migrate")
+    __slots__ = ("reduce_id", "tt_name", "consumer", "proc")
 
     def __init__(
         self,
         reduce_id: int,
         tt_name: str,
         consumer: "ShuffleConsumer",
-        migrate: Event | None,
+        proc: Any,
     ):
         self.reduce_id = reduce_id
         self.tt_name = tt_name
         self.consumer = consumer
-        #: Fired by the controller to kill-and-relocate this attempt; the
-        #: reduce wrapper races it against the run and the crash event.
-        self.migrate = migrate
+        #: The reduce wrapper running the attempt; migration interrupts it
+        #: with cause ``"control-migrate"`` (killed, then relocated).
+        self.proc = proc
 
 
 class ControlPlane:
@@ -139,28 +139,10 @@ class ControlPlane:
     # -- live-attempt registry (maintained by the reduce wrappers) ----------
 
     def track_attempt(
-        self,
-        reduce_id: int,
-        tt_name: str,
-        consumer: "ShuffleConsumer",
-        migratable: bool = True,
-    ) -> Event | None:
-        """Register a freshly launched reduce attempt.
-
-        Returns the migrate event the wrapper must race the attempt
-        against, or None when migration cannot apply (no fault plan, or
-        migration disabled).
-        """
-        migrate = None
-        if (
-            migratable
-            and self.migrate_enabled
-            and self.ctx.integrity is not None
-            and self.ctx.faults is not None
-        ):
-            migrate = Event(self.ctx.sim)
-        self._attempts[reduce_id] = _Attempt(reduce_id, tt_name, consumer, migrate)
-        return migrate
+        self, reduce_id: int, tt_name: str, consumer: "ShuffleConsumer", proc: Any
+    ) -> None:
+        """Register a freshly launched reduce attempt run by wrapper ``proc``."""
+        self._attempts[reduce_id] = _Attempt(reduce_id, tt_name, consumer, proc)
 
     def untrack_attempt(self, reduce_id: int) -> None:
         """The attempt finished (or was torn down); stop actuating it."""
@@ -298,9 +280,6 @@ class ControlPlane:
             if fired >= _MIGRATIONS_PER_TICK:
                 break
             attempt = self._attempts[reduce_id]
-            migrate = attempt.migrate
-            if migrate is None or migrate.triggered:
-                continue
             if not integ.quarantined(attempt.tt_name):
                 continue
             if not self._has_alternative(attempt.tt_name):
@@ -310,7 +289,7 @@ class ControlPlane:
             )
             if progress > _MIGRATE_PROGRESS_MAX:
                 continue  # refetching a nearly-done shuffle costs more
-            migrate.succeed()
+            attempt.proc.interrupt("control-migrate")
             fired += 1
             self._decide(
                 "migrations",

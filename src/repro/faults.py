@@ -23,6 +23,10 @@ Fault kinds
 * ``disk_error_rate`` — each provider-side segment read fails with this
   probability (drawn from a per-node named ``sim.rng`` stream, so runs
   stay reproducible bit-for-bit and faults are attributable to a disk).
+* ``map_failure_rate`` / ``reduce_failure_rate`` — each task attempt dies
+  partway through with this probability (one named stream per attempt,
+  ``mapfail-…`` / ``redfail-…``).  A failed attempt burns one of the
+  task's ``max_task_attempts``; a crash or a lost race only kills it.
 * :class:`DiskCorruption` / :class:`WireCorruption` /
   :class:`SegmentFault` — *silent* data-plane corruption (flipped bits
   on disk reads, write-time rot, per-packet wire corruption, truncated
@@ -45,9 +49,13 @@ Fault kinds
   TaskTracker re-registration) lives in :mod:`repro.mapreduce.journal`.
 
 Everything is deterministic: plan times are fixed simulation timestamps
-and the only randomness (disk errors) comes from the cluster's seeded
-stream family.  When no plan is configured none of this is instantiated —
-the no-fault path stays event-for-event identical.
+and the only randomness (disk errors, task failures) comes from the
+cluster's seeded stream family.  "No faults" is the empty plan: no
+injector is instantiated, every fault query in the stack sits behind a
+``ctx.faults is not None`` guard, and the run stays event-for-event
+identical.  A node crash reaches running work through the crash hooks
+(:meth:`FaultInjector.on_crash`): the JobTracker interrupts the attempts
+on the dead node with cause ``"node-crash"``.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 from repro.sim.monitor import Counter
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -276,6 +284,9 @@ class FaultPlan:
     stalls: tuple[ResponderStall, ...] = ()
     #: Probability that one provider-side segment read fails.
     disk_error_rate: float = 0.0
+    #: Probability that one map / reduce task attempt fails partway through.
+    map_failure_rate: float = 0.0
+    reduce_failure_rate: float = 0.0
     #: Silent-corruption entries (verified and recovered by repro.integrity).
     disk_corruptions: tuple[DiskCorruption, ...] = ()
     wire_corruptions: tuple[WireCorruption, ...] = ()
@@ -293,6 +304,10 @@ class FaultPlan:
     def __post_init__(self) -> None:
         if not 0.0 <= self.disk_error_rate < 1.0:
             raise ValueError(f"disk_error_rate {self.disk_error_rate} not in [0, 1)")
+        for field in ("map_failure_rate", "reduce_failure_rate"):
+            rate = getattr(self, field)
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{field} {rate} not in [0, 1]")
 
         def nonneg_at(e):
             if e.at < 0:
@@ -351,6 +366,8 @@ class FaultPlan:
             or self.flaps
             or self.stalls
             or self.disk_error_rate > 0
+            or self.map_failure_rate > 0
+            or self.reduce_failure_rate > 0
             or self.has_corruption
             or self.has_degradation
             or self.has_master_faults
@@ -712,9 +729,11 @@ def named_plan(
 class FaultInjector:
     """Runtime of one :class:`FaultPlan` on one cluster/job.
 
-    Created only when a plan is configured; every hook in the shuffle /
-    UCR / scheduler code is behind an ``if ctx.faults is not None`` check,
-    so the idle cost is a single attribute test.
+    Created only for a non-empty plan.  The shuffle / UCR / scheduler
+    code runs one path with or without it: each fault query there reads
+    ``faults is not None and faults.<query>(…)``, so the idle cost is a
+    single attribute test.  Crashes reach running work through
+    :meth:`on_crash` hooks, never through events to wait on.
     """
 
     def __init__(
@@ -754,7 +773,6 @@ class FaultInjector:
             self.counters.add("master_crashes", 0.0)
             self.counters.add("master_stalls", 0.0)
         self.crashed: set[str] = set()
-        self._crash_events: dict[str, Event] = {}
         self._flap_windows: dict[str, list[tuple[float, float]]] = {}
         for flap in plan.flaps:
             self._flap_windows.setdefault(flap.node, []).append(
@@ -853,9 +871,6 @@ class FaultInjector:
             return
         self.crashed.add(crash.node)
         self.counters.add("node_crashes", 1)
-        ev = self._crash_events.get(crash.node)
-        if ev is not None and not ev.triggered:
-            ev.succeed(crash.node)
         for fn in self._crash_hooks:
             fn(crash.node)
 
@@ -904,16 +919,6 @@ class FaultInjector:
     def node_dead(self, node: str) -> bool:
         return node in self.crashed
 
-    def crash_event(self, node: str) -> Event:
-        """An event firing when ``node`` crashes (already fired if it has)."""
-        ev = self._crash_events.get(node)
-        if ev is None:
-            ev = Event(self.sim)
-            if node in self.crashed:
-                ev.succeed(node)
-            self._crash_events[node] = ev
-        return ev
-
     def link_down(self, node: str) -> bool:
         """Is the node's port unusable right now (crashed or flapping)?"""
         if node in self.crashed:
@@ -949,6 +954,21 @@ class FaultInjector:
             self.counters.add("disk_errors", 1)
             return True
         return False
+
+    def task_fail_at(self, kind: str, task_id: int, attempt: int, work: float) -> float:
+        """How much of ``work`` this ``"map"``/``"reduce"`` attempt gets
+        through before it fails (``inf`` = it survives), drawn from the
+        attempt's own ``mapfail-…`` / ``redfail-…`` stream."""
+        if kind == "map":
+            rate, prefix = self.plan.map_failure_rate, "mapfail"
+        else:
+            rate, prefix = self.plan.reduce_failure_rate, "redfail"
+        if rate <= 0:
+            return float("inf")
+        fate = self._rng.stream(f"{prefix}-{task_id}-a{attempt}")
+        if fate.uniform() < rate:
+            return float(fate.uniform(0.05, 0.95)) * work
+        return float("inf")
 
     def cpu_delay(self, node: str, delay: float) -> float:
         """Wall-clock seconds to do ``delay`` nominal CPU-seconds from now.

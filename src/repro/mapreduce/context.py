@@ -138,10 +138,10 @@ class JobContext:
             [n.name for n in cluster.nodes], cluster.rng.stream("hdfs-placement")
         )
         self.dfs = DFSClient(cluster, self.namenode)
-        #: Fault injection runtime (repro.faults); None when no plan is
-        #: configured, and every fault hook in the stack is behind a plain
-        #: ``ctx.faults is not None`` check so the idle path stays
-        #: event-for-event identical.
+        #: Fault injection runtime (repro.faults); None for no plan or the
+        #: empty plan — the same thing.  Each lifecycle has one code path,
+        #: whose fault queries read ``faults is not None and …``, so the
+        #: idle path stays event-for-event identical.
         self.faults = None
         if conf.fault_plan is not None and not conf.fault_plan.empty:
             from repro.faults import FaultInjector

@@ -90,8 +90,11 @@ class JobConf:
     # -- robustness (speculation + fault injection + recovery) --------------------
     # Everything that makes the job survive a misbehaving cluster lives in
     # this block.  All defaults keep the fault machinery fully idle: with
-    # no fault_plan and zero rates, runs are event-for-event identical to a
-    # build without it (the existing benchmarks stay bit-identical).
+    # no fault_plan (or an empty one), runs are event-for-event identical
+    # to a build without it (the existing benchmarks stay bit-identical).
+    # What fails and when — including task-attempt failure rates — is the
+    # plan's business (repro.faults.FaultPlan); these knobs only shape the
+    # recovery.
     #
     #: mapred.map.tasks.speculative.execution: launch a backup attempt for
     #: map tasks running far beyond the completed-task median.
@@ -105,16 +108,8 @@ class JobConf:
     speculative_cap: int = 0
     #: Seconds between LATE speculator scans.
     speculative_interval: float = 2.0
-    #: Probability that a map task attempt fails partway through.
-    map_failure_rate: float = 0.0
-    #: Probability that a reduce task attempt fails partway through.
-    reduce_failure_rate: float = 0.0
     #: Attempts before the job aborts (mapred.map.max.attempts).
     max_task_attempts: int = 4
-    #: Probability that one shuffle fetch fails transiently and is retried.
-    fetch_failure_rate: float = 0.0
-    #: Back-off before a transiently-failed fetch is retried, seconds.
-    fetch_retry_delay: float = 5.0
     #: Deterministic fault schedule (repro.faults); None disables injection.
     fault_plan: FaultPlan | None = None
     #: Consecutive failed fetches of one map output before the reducer

@@ -4,8 +4,10 @@ Scheduling reproduces 0.20.2 behaviour at the fidelity the experiments
 need: fixed map/reduce slots per TaskTracker, locality-preferring greedy
 map assignment (with 3-way replicated input, locality is near-total),
 reducers launched once ``mapred.reduce.slowstart.completed.maps`` of the
-maps have finished, and no speculative execution (the paper's tuned
-setup).
+maps have finished, and speculative execution off by default (the
+paper's tuned setup).  Each task runs through one lifecycle, faults or
+not: a wrapper per task re-acquires a slot per attempt, runs it inline,
+and takes every kill as one ``Interrupted`` whose cause says why.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from repro.mapreduce.maptask import (
 from repro.mapreduce.shuffle.base import engine_by_name
 from repro.mapreduce.speculation import pick_straggler
 from repro.mapreduce.tasktracker import TaskTracker
-from repro.sim.core import Event
+from repro.sim.core import Event, Interrupted
+from repro.tools.timeline import TaskSpan
 
 __all__ = ["JobTracker"]
 
@@ -50,23 +53,21 @@ class JobTracker:
         self._blocks: list[Block] = []
         self._map_loop_procs: list[Any] = []
         self._watcher_procs: list[Any] = []
-        self._reduce_wrapper_procs: list[Any] = []
         self._control_proc: Any = None
         # Speculative execution bookkeeping: live attempts per map task.
         self._attempts: dict[int, list[Any]] = {}
         self._attempt_meta: dict[int, tuple[float, str, Block]] = {}
         self._speculated: set[int] = set()
-        # Reduce-side speculation: commit-once registry, per-reduce attempt
-        # id allocator (ids stay unique across concurrent racing wrappers),
-        # and the kill channels a committing winner fires — wrapper
-        # processes in the plain path, lose events in the faulted path
-        # (whose wrappers park on a race and must not be interrupted).
+        # Reduce side: commit-once registry, per-reduce attempt id
+        # allocator (ids stay unique across concurrent racing wrappers),
+        # every wrapper process per reduce (original + speculative backup:
+        # the targets of a committing winner's kill), and the tracker each
+        # wrapper is queued or running on (the targets of a node crash).
         self._reduce_committed: set[int] = set()
         self._reduce_speculated: set[int] = set()
         self._reduce_attempt_seq: dict[int, int] = {}
         self._reduce_attempt_procs: dict[int, list[Any]] = {}
-        self._reduce_lose: dict[int, list[Event]] = {}
-        self._spec_reduce_procs: list[Any] = []
+        self._reduce_hosts: dict[Any, str] = {}
         self._consumer_cls: type | None = None
         # Fault recovery: maps with a re-execution in flight, and the
         # re-execution driver processes (drained before job cleanup).
@@ -150,8 +151,6 @@ class JobTracker:
         crash interrupted this incarnation mid-flight (the supervisor
         fails over and launches a fresh execute() on recovered state).
         """
-        from repro.sim.core import Interrupted
-
         ctx = self.ctx
         conf = ctx.conf
         try:
@@ -171,35 +170,27 @@ class JobTracker:
 
             # Launch reducers once slow-start is reached.
             yield self._slowstart_event
-            reducers = []
-            for reduce_id in range(conf.n_reduces):
-                if reduce_id in self._reduce_committed:
-                    continue  # journaled as committed by a prior incarnation
-                tt = trackers[reduce_id % len(trackers)]
-                reducers.append(
-                    self.sim.process(
-                        self._reduce_wrapper(tt, reduce_id, self._consumer_cls),
-                        name=f"reduce-{reduce_id}",
-                    )
-                )
-            self._reduce_wrapper_procs = reducers
+            reducers = [
+                self._launch_reduce(trackers[r % len(trackers)], r, f"reduce-{r}")
+                for r in range(conf.n_reduces)
+                if r not in self._reduce_committed  # journaled by a prior incarnation
+            ]
 
             yield self.sim.all_of(self._map_loop_procs + reducers)
-            if ctx.faults is not None:
-                # Re-execution drivers normally finish before the reducers
-                # that wait on their output; drain stragglers so nothing
-                # leaks.
-                live = [p for p in self._reexec_procs if p.is_alive]
-                if live:
-                    yield self.sim.all_of(live)
-            if self._spec_reduce_procs:
-                # A speculative backup may still be the winner mid-flight
-                # when every original wrapper has returned (its original
-                # was killed) — or a loser may still be unwinding its
-                # teardown.  The job is done only when the racers are.
-                live = [p for p in self._spec_reduce_procs if p.is_alive]
-                if live:
-                    yield self.sim.all_of(live)
+            # Re-execution drivers normally finish before the reducers that
+            # wait on their output, and a speculative backup may still be
+            # the winner mid-flight when every original wrapper has
+            # returned (its original was killed).  Drain both so nothing
+            # leaks: the job is done only when the racers are.
+            live = [p for p in self._reexec_procs if p.is_alive]
+            live += [
+                p
+                for procs in self._reduce_attempt_procs.values()
+                for p in procs
+                if p.is_alive
+            ]
+            if live:
+                yield self.sim.all_of(live)
             # Job cleanup.
             yield self.sim.timeout(conf.costs.job_overhead / 2.0)
             return True
@@ -369,13 +360,9 @@ class JobTracker:
                 procs[id(proc)] = proc
         for proc in self._reexec_procs:
             procs[id(proc)] = proc
-        for proc in self._reduce_wrapper_procs:
-            procs[id(proc)] = proc
         for plist in self._reduce_attempt_procs.values():
             for proc in plist:
                 procs[id(proc)] = proc
-        for proc in self._spec_reduce_procs:
-            procs[id(proc)] = proc
         live = []
         for proc in procs.values():
             if proc is me or not proc.is_alive:
@@ -391,8 +378,6 @@ class JobTracker:
         (surviving map outputs) has already been re-registered into
         ctx.map_outputs by the supervisor's rebuild pass.
         """
-        from repro.sim.core import Event
-
         ctx = self.ctx
         self.epoch = ctx.journal.epoch
         self._reduce_committed = set(recovery.committed_reduces)
@@ -420,13 +405,11 @@ class JobTracker:
         self._speculated = set()
         self._reduce_speculated = set()
         self._reduce_attempt_procs = {}
-        self._reduce_lose = {}
-        self._spec_reduce_procs = []
+        self._reduce_hosts = {}
         self._reexec_pending = set()
         self._reexec_procs = []
         self._map_loop_procs = []
         self._watcher_procs = []
-        self._reduce_wrapper_procs = []
         self._slowstart_target = max(
             1,
             int(-(-ctx.conf.reduce_slowstart * len(self._blocks) // 1)),
@@ -450,8 +433,6 @@ class JobTracker:
         return self.pending_maps.pop(0)
 
     def _tt_map_loop(self, tt: TaskTracker) -> Generator[Event, Any, None]:
-        from repro.sim.core import Interrupted
-
         launched: list[Event] = []
         while self.pending_maps:
             slot = tt.map_slots.request()
@@ -492,9 +473,6 @@ class JobTracker:
         fidelity the re-execution *cost* is what matters, and input blocks
         are replicated so locality is equivalent.)
         """
-        from repro.sim.core import Interrupted
-        from repro.tools.timeline import TaskSpan
-
         map_id, block = task
         spec = self.ctx.speculation
         try:
@@ -556,7 +534,7 @@ class JobTracker:
     # -- fault recovery ---------------------------------------------------------
 
     def _on_node_crash(self, name: str) -> None:
-        """FaultInjector hook: kill map attempts running on a dead node."""
+        """FaultInjector hook: kill the attempts queued or running on a dead node."""
         ctx = self.ctx
         for map_id, (_started, tt_name, _block) in list(self._attempt_meta.items()):
             if tt_name != name or map_id in ctx.map_outputs:
@@ -564,6 +542,9 @@ class JobTracker:
             for proc in self._attempts.get(map_id, []):
                 if proc.is_alive:
                     proc.interrupt("node-crash")
+        for proc, tt_name in self._reduce_hosts.items():
+            if tt_name == name and proc.is_alive:
+                proc.interrupt("node-crash")
 
     def report_fetch_failure(self, meta: Any) -> None:
         """A reducer condemned ``meta`` after repeated fetch failures.
@@ -617,7 +598,6 @@ class JobTracker:
 
     def _reexecute(self, map_id: int, block: Block) -> Generator[Event, Any, None]:
         """Re-run a lost map on a healthy TaskTracker; republish its meta."""
-        from repro.sim.core import Interrupted
 
         ctx = self.ctx
         tt = None
@@ -706,8 +686,6 @@ class JobTracker:
         placement that reuses the scheduler's quarantine/steering rules.
         First attempt to finish commits; the loser is killed, not failed.
         """
-        from repro.sim.core import Interrupted
-
         ctx = self.ctx
         conf = ctx.conf
         spec = ctx.speculation
@@ -725,7 +703,6 @@ class JobTracker:
 
     def _speculate_maps(self) -> Generator[Event, Any, None]:
         """One LATE map scan: back up the slowest-rate lagging attempt."""
-        from repro.sim.core import Interrupted
 
         ctx = self.ctx
         conf = ctx.conf
@@ -825,11 +802,7 @@ class JobTracker:
                 task_id=reduce_id,
                 backup=backup_tt.name,
             )
-        proc = self.sim.process(
-            self._reduce_wrapper(backup_tt, reduce_id, self._consumer_cls),
-            name=f"reduce-{reduce_id}-backup",
-        )
-        self._spec_reduce_procs.append(proc)
+        self._launch_reduce(backup_tt, reduce_id, f"reduce-{reduce_id}-backup")
 
     def _pick_backup_tracker(self, kind: str, straggler_node: str):
         """Free-slot healthy placement for a backup attempt, or None.
@@ -865,8 +838,6 @@ class JobTracker:
         return min(pool, key=load)
 
     def _slowstart_watch(self) -> Generator[Event, Any, None]:
-        from repro.sim.core import Interrupted
-
         inbox = self.ctx.board.subscribe()
         seen = 0
         try:
@@ -903,28 +874,30 @@ class JobTracker:
     def _commit_reduce(
         self, consumer: Any, tt: TaskTracker, reduce_id: int, attempt: int,
         started: float,
-    ) -> bool:
+    ) -> None:
         """Commit-once for reduce output: first finisher wins.
 
         Records the span, counters and completion timestamp for the
         winning attempt and kills any racing siblings; a finisher that
-        arrives second is torn down as a loser instead (False).
+        arrives second is discarded as a loser instead.
         """
-        from repro.tools.timeline import TaskSpan
-
         ctx = self.ctx
         if reduce_id in self._reduce_committed:
-            self._teardown_losing_reduce(consumer, tt, reduce_id, attempt, started)
-            return False
+            self._discard_reduce_attempt(
+                consumer, tt, reduce_id, attempt, started, "lost speculative race"
+            )
+            return
         if ctx.journal is not None and not ctx.journal.commit_reduce(
             self.epoch, reduce_id, attempt, consumer.bytes_reduced, tt.name
         ):
             # Fenced (zombie epoch / master down) or already durably
             # committed by an earlier incarnation: the journal is the
-            # commit authority, so this finisher is torn down as a loser.
+            # commit authority, so this finisher is discarded as a loser.
             ctx.counters.add("reduce.commit_rejected", 1)
-            self._teardown_losing_reduce(consumer, tt, reduce_id, attempt, started)
-            return False
+            self._discard_reduce_attempt(
+                consumer, tt, reduce_id, attempt, started, "lost speculative race"
+            )
+            return
         self._reduce_committed.add(reduce_id)
         ctx.spans.append(
             TaskSpan("reduce", reduce_id, attempt, tt.name, started, self.sim.now)
@@ -939,38 +912,33 @@ class JobTracker:
             )
         if ctx.speculation is not None and reduce_id in self._reduce_speculated:
             ctx.speculation.note_win("reduce", reduce_id, tt.name)
-        self._kill_losing_reduce_attempts(reduce_id)
-        self._reduce_done_times.append(self.sim.now)
-        return True
-
-    def _kill_losing_reduce_attempts(self, reduce_id: int) -> None:
-        """Signal every racing sibling attempt that the race is over.
-
-        Plain-path wrappers are interrupted directly; faulted-path
-        wrappers (parked on a crash/migrate race) get their per-attempt
-        lose event fired and unwind themselves.
-        """
-        for ev in self._reduce_lose.get(reduce_id, []):
-            if not ev.triggered:
-                ev.succeed("lost speculative race")
         me = self.sim.active_process
         for proc in self._reduce_attempt_procs.get(reduce_id, []):
             if proc is not me and proc.is_alive:
                 proc.interrupt("lost speculative race")
+        self._reduce_done_times.append(self.sim.now)
 
-    def _teardown_losing_reduce(
+    def _discard_reduce_attempt(
         self, consumer: Any, tt: TaskTracker, reduce_id: int, attempt: int,
-        started: float,
+        started: float, cause: str,
     ) -> None:
-        """Unwind a losing speculative attempt: killed, not failed.
+        """Unwind a killed reduce attempt: killed, not failed.
 
-        The attempt's span is recorded as killed (it doesn't burn the
-        attempt budget), its partial attempt-scoped output is unlinked
-        from HDFS, and the wasted bytes are settled against the
-        speculation ledger.
+        Every killed attempt's span is recorded as killed (it never burns
+        the attempt budget), its consumer is cancelled, its attempt-scoped
+        partial output is unlinked from HDFS (Hadoop's _temporary dirs:
+        the committed winner's file is untouched), and its in-flight wire
+        exchanges and staged artifacts are settled against the integrity
+        ledger (whoever commits this reduce refetches from scratch).  The
+        cause then picks the tally:
+
+        ===========================  ========================
+        ``"lost speculative race"``  speculation loser ledger
+        ``"master-crash"``           ``reduce.master_lost``
+        ``"control-migrate"``        ``reduce.migrated``
+        ``"node-crash"``             ``reduce.node_lost``
+        ===========================  ========================
         """
-        from repro.tools.timeline import TaskSpan
-
         ctx = self.ctx
         ctx.spans.append(
             TaskSpan(
@@ -978,360 +946,115 @@ class JobTracker:
                 ok=False, killed=True,
             )
         )
-        if consumer is None:
-            # Killed before the consumer existed: nothing was written.
+        wasted = 0.0
+        if consumer is not None:
+            if not consumer.aborted:
+                consumer.cancel(cause)
+            wasted = consumer.bytes_reduced
+            ctx.dfs.delete_file(consumer.output_file)
+            if ctx.integrity is not None:
+                ctx.integrity.note_migrated(tt.name, reduce_id)
+        if cause == "lost speculative race":
             if ctx.speculation is not None:
-                ctx.speculation.note_loser("reduce", reduce_id, tt.name, 0.0)
-            return
-        if not consumer.aborted:
-            consumer.cancel("lost speculative race")
-        wasted = consumer.bytes_reduced
-        # Attempt-scoped output names (Hadoop's _temporary dirs) make the
-        # unlink safe: the winner's committed file is untouched.
-        ctx.dfs.delete_file(consumer.output_file)
-        if ctx.integrity is not None:
-            # Settle the abandoned attempt's in-flight wire exchanges and
-            # staged artifacts so open detections don't dangle.
-            ctx.integrity.note_migrated(tt.name, reduce_id)
-        if ctx.speculation is not None:
-            ctx.speculation.note_loser("reduce", reduce_id, tt.name, wasted)
+                ctx.speculation.note_loser("reduce", reduce_id, tt.name, wasted)
+        elif cause == "master-crash":
+            ctx.counters.add("reduce.master_lost", 1)
+        elif cause == "control-migrate":
+            ctx.counters.add("reduce.migrated", 1)
+        else:
+            ctx.counters.add("reduce.node_lost", 1)
 
-    def _teardown_orphaned_reduce(
-        self, consumer: Any, run_proc: Any, race_ev: Any, tt: TaskTracker,
-        reduce_id: int, attempt: int | None, started: float,
-    ) -> Generator[Event, Any, None]:
-        """Unwind a reduce attempt orphaned by a master crash.
-
-        Killed, not failed — and unlike a speculative loser, nothing may
-        be journaled: the attempt's partial output is discarded so the
-        next incarnation restarts the reduce from scratch.
-        """
-        from repro.mapreduce.maptask import TaskFailure
-        from repro.sim.core import Interrupted
-        from repro.tools.timeline import TaskSpan
-
-        ctx = self.ctx
-        if race_ev is not None:
-            # Detach the abandoned crash/migrate race from its children:
-            # our interrupt already detached the waiter, and a child
-            # failing into a waiterless condition would crash the kernel.
-            race_ev.defuse()
-        if attempt is not None:
-            ctx.spans.append(
-                TaskSpan(
-                    "reduce", reduce_id, attempt, tt.name, started, self.sim.now,
-                    ok=False, killed=True,
-                )
-            )
-        ctx.counters.add("reduce.master_lost", 1)
-        if consumer is None:
-            return
-        if not consumer.aborted:
-            consumer.cancel("master-crash")
-        if run_proc is not None and run_proc.is_alive:
-            run_proc.interrupt("master-crash")
-            try:
-                yield run_proc
-            except (TaskFailure, Interrupted):
-                pass
-        # Attempt-scoped output names make the unlink safe: committed
-        # winners live under different (journaled) file names.
-        ctx.dfs.delete_file(consumer.output_file)
-        if ctx.integrity is not None:
-            # Settle the abandoned attempt's in-flight wire exchanges and
-            # staged artifacts so open detections don't dangle.
-            ctx.integrity.note_migrated(tt.name, reduce_id)
+    def _launch_reduce(self, tt: TaskTracker, reduce_id: int, name: str) -> Any:
+        """Spawn a reduce wrapper, registered as a kill target of its reduce."""
+        proc = self.sim.process(self._reduce_wrapper(tt, reduce_id), name=name)
+        self._reduce_attempt_procs.setdefault(reduce_id, []).append(proc)
+        return proc
 
     def _reduce_wrapper(
-        self, tt: TaskTracker, reduce_id: int, consumer_cls: type
+        self, tt: TaskTracker, reduce_id: int
     ) -> Generator[Event, Any, None]:
-        from repro.mapreduce.maptask import TaskFailure
-        from repro.sim.core import Interrupted
-        from repro.tools.timeline import TaskSpan
+        """Run one reduce task until some attempt commits.
 
-        ctx = self.ctx
-        if ctx.faults is not None:
-            yield from self._reduce_wrapper_faulted(tt, reduce_id, consumer_cls)
-            return
-        spec = ctx.speculation
-        if spec is not None:
-            # Racing wrappers (original + speculative backup) register so a
-            # committing winner can interrupt its still-running sibling.
-            self._reduce_attempt_procs.setdefault(reduce_id, []).append(
-                self.sim.active_process
-            )
-        failed_attempts = 0
-        with tt.reduce_slots.request() as slot:
-            try:
-                yield slot
-            except Interrupted:
-                # Killed while queued for a slot: no attempt ever started,
-                # so there is nothing to record or tear down.
-                return
-            while failed_attempts < ctx.conf.max_task_attempts:
-                if reduce_id in self._reduce_committed:
-                    return  # a racing sibling committed while we retried
-                attempt = self._alloc_reduce_attempt(reduce_id)
-                started = self.sim.now
-                consumer = None
-                try:
-                    yield from tt.node.compute(
-                        ctx.conf.costs.task_startup
-                        * ctx.jitter(f"redstart-{reduce_id}-a{attempt}")
-                    )
-                    consumer = consumer_cls(ctx, tt, reduce_id, attempt)
-                    if ctx.control is not None:
-                        # Fault-free runs still get per-reducer retuning;
-                        # migration needs the faulted wrapper's kill path.
-                        ctx.control.track_attempt(
-                            reduce_id, tt.name, consumer, migratable=False
-                        )
-                    if spec is not None:
-                        spec.track(
-                            "reduce", reduce_id, attempt, tt.name,
-                            poll=consumer.progress,
-                        )
-                    yield from consumer.run()
-                    self._commit_reduce(consumer, tt, reduce_id, attempt, started)
-                    return
-                except TaskFailure:
-                    ctx.spans.append(
-                        TaskSpan(
-                            "reduce",
-                            reduce_id,
-                            attempt,
-                            tt.name,
-                            started,
-                            self.sim.now,
-                            ok=False,
-                        )
-                    )
-                    failed_attempts += 1
-                    continue
-                except Interrupted:
-                    # The sibling speculative attempt committed first.
-                    # Killed, not failed: it doesn't burn the attempt
-                    # budget, and its partial output is unlinked.
-                    self._teardown_losing_reduce(
-                        consumer, tt, reduce_id, attempt, started
-                    )
-                    return
-                finally:
-                    if ctx.control is not None:
-                        ctx.control.untrack_attempt(reduce_id)
-                    if spec is not None and consumer is not None:
-                        spec.untrack("reduce", reduce_id, attempt, tt.name)
-            raise RuntimeError(
-                f"reduce {reduce_id} exceeded "
-                f"{ctx.conf.max_task_attempts} attempts"
-            )
-
-    def _reduce_wrapper_faulted(
-        self, tt: TaskTracker, reduce_id: int, consumer_cls: type
-    ) -> Generator[Event, Any, None]:
-        """Reduce lifecycle under fault injection.
-
-        Differences from the plain wrapper: the slot is re-acquired per
-        attempt (an attempt whose node crashed moves to a healthy
-        TaskTracker), and each attempt races the consumer against its
-        node's crash event — and, under the control plane, against a
-        controller-fired migrate event (the tracker crossed the
-        quarantine threshold mid-job).  A crash or a migration *kills*
-        the attempt (Hadoop semantics: killed, not failed — it doesn't
-        count toward max_task_attempts); a TaskFailure burns an attempt
-        as usual.
+        Shaped like :meth:`_map_wrapper`: each attempt takes a reduce
+        slot, runs the engine's consumer inline and commits once.  A
+        :class:`TaskFailure` burns one of ``max_task_attempts``.  Every
+        kill arrives as ``Process.interrupt(cause)`` — from the node-crash
+        hook, the controller's migration, a committing sibling or the
+        master's ``abandon()`` — and is handled in one place: the attempt
+        is discarded (:meth:`_discard_reduce_attempt`), then
+        ``"node-crash"`` and ``"control-migrate"`` relaunch on another
+        tracker while ``"lost speculative race"`` and ``"master-crash"``
+        end this wrapper.  A kill landing while the wrapper still queues
+        for a slot just withdraws the request.
         """
-        from repro.mapreduce.maptask import TaskFailure
-        from repro.sim.core import Interrupted
-        from repro.tools.timeline import TaskSpan
-
         ctx = self.ctx
         faults = ctx.faults
         spec = ctx.speculation
-        # Faulted wrappers park on a race (crash/migrate events) and must
-        # not be interrupt()ed mid-race; a committing sibling signals them
-        # through a per-attempt "lose" event added to that race instead.
-        speculating = spec is not None and ctx.conf.speculative_reduces
+        me = self.sim.active_process
         failed_attempts = 0
         relocate = False
         while True:
-            if reduce_id in self._reduce_committed:
-                return  # a racing sibling committed while we relocated
             if ctx.journal is not None and ctx.journal.master_down:
-                # Headless: a kill-path interrupt can be swallowed by the
-                # inner drain below, so the loop re-checks before every
-                # (re)launch.  The next incarnation reschedules this reduce.
-                return
+                return  # headless: the next incarnation reschedules this reduce
             if failed_attempts >= ctx.conf.max_task_attempts:
                 raise RuntimeError(
                     f"reduce {reduce_id} exceeded "
                     f"{ctx.conf.max_task_attempts} attempts"
                 )
-            if relocate or faults.node_dead(tt.name):
+            if relocate or (faults is not None and faults.node_dead(tt.name)):
                 tt = self._pick_reduce_tracker(reduce_id)
                 relocate = False
+            self._reduce_hosts[me] = tt.name
             slot = tt.reduce_slots.request()
-            try:
-                yield slot
-            except Interrupted:
-                # Master crash while queued: withdraw; nothing started.
-                slot.cancel()
-                return
             attempt = None
             consumer = None
-            lose = None
-            run_proc = None
-            race_ev = None
             started = self.sim.now
             try:
-                if faults.node_dead(tt.name):
+                yield slot
+                if faults is not None and faults.node_dead(tt.name):
                     continue  # crashed while we queued; move elsewhere
                 if reduce_id in self._reduce_committed:
                     return  # a racing sibling committed while we queued
                 attempt = self._alloc_reduce_attempt(reduce_id)
-                if speculating:
-                    lose = Event(self.sim)
-                    self._reduce_lose.setdefault(reduce_id, []).append(lose)
                 started = self.sim.now
                 yield from tt.node.compute(
                     ctx.conf.costs.task_startup
                     * ctx.jitter(f"redstart-{reduce_id}-a{attempt}")
                 )
-                if lose is not None and lose.triggered:
-                    # The sibling committed during our startup compute.
-                    self._teardown_losing_reduce(
-                        None, tt, reduce_id, attempt, started
-                    )
-                    return
-                consumer = consumer_cls(ctx, tt, reduce_id, attempt)
-                migrate = None
+                consumer = self._consumer_cls(ctx, tt, reduce_id, attempt)
                 if ctx.control is not None:
-                    migrate = ctx.control.track_attempt(
-                        reduce_id, tt.name, consumer
-                    )
+                    ctx.control.track_attempt(reduce_id, tt.name, consumer, me)
                 if spec is not None:
                     spec.track(
-                        "reduce", reduce_id, attempt, tt.name,
-                        poll=consumer.progress,
+                        "reduce", reduce_id, attempt, tt.name, poll=consumer.progress
                     )
-                run_proc = self.sim.process(
-                    consumer.run(), name=f"r{reduce_id}-attempt{attempt}"
-                )
-                crash = faults.crash_event(tt.name)
-                race = [run_proc, crash]
-                if migrate is not None:
-                    race.append(migrate)
-                if lose is not None:
-                    race.append(lose)
-                race_ev = self.sim.any_of(race)
-                try:
-                    yield race_ev
-                except TaskFailure:
-                    # The consumer died first (injected reduce failure or
-                    # its own node lost mid-fetch).
-                    consumer.cancel()
-                    ctx.spans.append(
-                        TaskSpan(
-                            "reduce", reduce_id, attempt, tt.name,
-                            started, self.sim.now, ok=False,
-                        )
-                    )
-                    failed_attempts += 1
-                    continue
-                if run_proc.is_alive:
-                    # The node crashed mid-attempt, the controller
-                    # evacuated this reducer off a freshly quarantined
-                    # tracker — or a speculative sibling committed first.
-                    # Either way the attempt is killed (not failed): tear
-                    # the consumer down and wait for its processes to
-                    # unwind.
-                    lost_race = lose is not None and lose.triggered
-                    migrated = (
-                        not lost_race
-                        and migrate is not None
-                        and migrate.triggered
-                        and not faults.node_dead(tt.name)
-                    )
-                    if lost_race:
-                        cause = "lost speculative race"
-                    else:
-                        cause = "control-migrate" if migrated else "node-crash"
-                    consumer.cancel(cause)
-                    run_proc.interrupt(cause)
-                    interrupted = False
-                    try:
-                        yield run_proc
-                    except (TaskFailure, Interrupted):
-                        interrupted = True
-                    if interrupted:
-                        if lost_race:
-                            self._teardown_losing_reduce(
-                                consumer, tt, reduce_id, attempt, started
-                            )
-                            return
-                        if migrated:
-                            ctx.counters.add("reduce.migrated", 1)
-                            if ctx.integrity is not None:
-                                # The abandoned attempt's in-flight wire
-                                # exchanges and staged spill files are
-                                # settled — the relaunch refetches from
-                                # scratch under fresh verification.
-                                ctx.integrity.note_migrated(tt.name, reduce_id)
-                            relocate = True
-                        else:
-                            ctx.counters.add("reduce.node_lost", 1)
-                        ctx.spans.append(
-                            TaskSpan(
-                                "reduce", reduce_id, attempt, tt.name,
-                                started, self.sim.now, ok=False, killed=True,
-                            )
-                        )
-                        continue  # fresh attempt id, not a *failed* one
-                elif not run_proc.ok:
-                    # The consumer failed in the same timestamp the crash
-                    # (or another event) fired; classify its exception.
-                    exc = run_proc.value
-                    consumer.cancel()
-                    if isinstance(exc, TaskFailure):
-                        ctx.spans.append(
-                            TaskSpan(
-                                "reduce", reduce_id, attempt, tt.name,
-                                started, self.sim.now, ok=False,
-                            )
-                        )
-                        failed_attempts += 1
-                        continue
-                    if isinstance(exc, Interrupted):
-                        ctx.spans.append(
-                            TaskSpan(
-                                "reduce", reduce_id, attempt, tt.name,
-                                started, self.sim.now, ok=False, killed=True,
-                            )
-                        )
-                        ctx.counters.add("reduce.node_lost", 1)
-                        continue
-                    raise exc
-                if not self._commit_reduce(consumer, tt, reduce_id, attempt, started):
-                    return  # lost the race by a nose; torn down as loser
+                yield from consumer.run()
+                self._commit_reduce(consumer, tt, reduce_id, attempt, started)
                 return
-            except Interrupted:
-                # Master crash mid-attempt (startup compute or parked on
-                # the race): the brain is gone, so nothing may commit or
-                # relaunch.  Tear the orphaned attempt down and park.
-                yield from self._teardown_orphaned_reduce(
-                    consumer, run_proc, race_ev, tt, reduce_id, attempt, started
+            except TaskFailure:
+                consumer.cancel()
+                ctx.spans.append(
+                    TaskSpan(
+                        "reduce", reduce_id, attempt, tt.name, started, self.sim.now,
+                        ok=False,
+                    )
                 )
-                return
+                failed_attempts += 1
+            except Interrupted as exc:
+                if attempt is not None:
+                    self._discard_reduce_attempt(
+                        consumer, tt, reduce_id, attempt, started, exc.cause
+                    )
+                if exc.cause not in ("node-crash", "control-migrate"):
+                    return  # lost the race, or the master died
+                relocate = True
             finally:
-                if ctx.control is not None:
-                    ctx.control.untrack_attempt(reduce_id)
-                if spec is not None and consumer is not None:
-                    spec.untrack("reduce", reduce_id, attempt, tt.name)
-                if lose is not None:
-                    events = self._reduce_lose.get(reduce_id)
-                    if events is not None and lose in events:
-                        events.remove(lose)
-                tt.reduce_slots.release(slot)
+                if consumer is not None:
+                    if ctx.control is not None:
+                        ctx.control.untrack_attempt(reduce_id)
+                    if spec is not None:
+                        spec.untrack("reduce", reduce_id, attempt, tt.name)
+                slot.cancel()
 
     def _pick_reduce_tracker(self, reduce_id: int) -> TaskTracker:
         """Least-loaded live TaskTracker for a relocated reduce attempt.

@@ -82,10 +82,8 @@ def run_map_task(
 
     # Fault injection: decide up front whether (and where) this attempt dies.
     fail_at = float("inf")
-    if conf.map_failure_rate > 0:
-        fate = ctx.rng.stream(f"mapfail-{map_id}-a{attempt}")
-        if fate.uniform() < conf.map_failure_rate:
-            fail_at = float(fate.uniform(0.05, 0.95)) * block.nbytes
+    if ctx.faults is not None:
+        fail_at = ctx.faults.task_fail_at("map", map_id, attempt, block.nbytes)
 
     if ctx.first_map_start is None:
         ctx.first_map_start = sim.now

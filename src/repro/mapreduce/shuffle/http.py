@@ -29,6 +29,8 @@ from collections.abc import Generator
 from typing import TYPE_CHECKING, Any
 
 from repro.core.protocol import MapOutputMeta
+from repro.faults import FaultError
+from repro.mapreduce.maptask import TaskFailure
 from repro.mapreduce.shuffle.base import CreditGate, ShuffleConsumer, ShuffleProvider
 from repro.sim.core import Event, Process
 from repro.sim.resources import Container, Resource, Store
@@ -64,34 +66,48 @@ class HttpShuffleProvider(ShuffleProvider):
     ) -> Generator[Event, Any, float]:
         """Handle one segment request end-to-end (driven by the copier).
 
-        Under fault injection the request can raise
-        :class:`repro.faults.FaultError` (dead server, link down, output
-        lost, disk read error); the copier's retry loop handles it.
+        Raises :class:`repro.faults.FaultError` for a doomed request
+        (dead server, link down, output lost, disk read error, bad
+        segment); the copier's retry loop handles it.  Without a fault
+        plan none of them can happen.
         """
-        sim = self.ctx.sim
-        if self.ctx.faults is not None:
-            yield from self._fault_gate(requester_node, map_id)
-        meta, file = self.tt.output_of(map_id)
+        ctx = self.ctx
+        sim = ctx.sim
+        faults = ctx.faults
+        if faults is not None:
+            stall = faults.stall_penalty(self.tt.name)
+            if stall > 0:
+                yield sim.timeout(stall)
+            if faults.node_dead(self.tt.name):
+                raise FaultError("crash", self.tt.name)
+            if faults.path_down(self.tt.name, requester_node.name):
+                raise FaultError("link", f"{self.tt.name}<->{requester_node.name}")
+        entry = self.tt.map_outputs.get(map_id)
+        if entry is None:
+            raise FaultError("lost", f"map {map_id}")
+        meta, file = entry
+        integ = ctx.integrity
+        if integ is not None:
+            kind = integ.segment_serve_fault(self.tt.name, file.name)
+            if kind is not None:
+                raise FaultError(kind, f"map {map_id} segment")
+        if faults is not None and faults.disk_read_fails(self.tt.name):
+            if integ is not None:
+                integ.note_disk_error(self.tt.name)
+            raise FaultError("disk", f"map {map_id} spill read")
         seg_bytes, _pairs = meta.segment(reduce_id)
         if seg_bytes <= 0:
             return 0.0
         # Request message crosses the wire first.
-        yield from self.ctx.cluster.fabric.send(requester_node, self.tt.node, 200)
-        # Transient fetch failure: the copier backs off and re-requests
-        # (0.20.2's fetch retry path).
-        conf = self.ctx.conf
-        if conf.fetch_failure_rate > 0:
-            fate = self.ctx.rng.stream("fetchfail")
-            while fate.uniform() < conf.fetch_failure_rate:
-                self.ctx.counters.add("shuffle.fetch_retries", 1)
-                yield self.ctx.sim.timeout(conf.fetch_retry_delay)
+        yield from ctx.cluster.fabric.send(requester_node, self.tt.node, 200)
+        conf = ctx.conf
         if self._queue_limit > 0:
             # Server-side backpressure: beyond queue_limit requests already
             # waiting for a servlet, new arrivals are parked at accept().
             while self._pending >= self._queue_limit + conf.http_server_threads:
                 gate = Event(sim)
                 self._deferred.append(gate)
-                self.ctx.counters.add("shuffle.backpressure.deferred_requests", 1)
+                ctx.counters.add("shuffle.backpressure.deferred_requests", 1)
                 yield gate
         self._pending += 1
         try:
@@ -106,9 +122,7 @@ class HttpShuffleProvider(ShuffleProvider):
                     name=f"http-read-m{map_id}-r{reduce_id}",
                 )
                 send = sim.process(
-                    self.ctx.cluster.fabric.send(
-                        self.tt.node, requester_node, seg_bytes
-                    ),
+                    ctx.cluster.fabric.send(self.tt.node, requester_node, seg_bytes),
                     name=f"http-send-m{map_id}-r{reduce_id}",
                 )
                 yield sim.all_of([read, send])
@@ -117,48 +131,18 @@ class HttpShuffleProvider(ShuffleProvider):
             if self._deferred:
                 self._deferred.popleft().succeed()
         self.bytes_served += seg_bytes
-        self.ctx.counters.add("shuffle.bytes", seg_bytes)
-        self.ctx.counters.add("shuffle.tt_disk_read_bytes", seg_bytes)
-        integ = self.ctx.integrity
+        ctx.counters.add("shuffle.bytes", seg_bytes)
+        ctx.counters.add("shuffle.tt_disk_read_bytes", seg_bytes)
         if integ is not None:
             # Verify-on-read of the servlet's disk stream (the 0.20.2
             # IFile checksum).  The bytes already crossed the wire — a
             # mismatch wastes the transfer, exactly like the real thing.
             status = integ.check_segment_read(self.tt.name, file, seg_bytes)
-            if status != "ok":
-                from repro.faults import FaultError
-
-                if status == "persistent":
-                    raise FaultError("corrupt", f"map {map_id} on-disk output")
+            if status == "persistent":
+                raise FaultError("corrupt", f"map {map_id} on-disk output")
+            if status == "transient":
                 raise FaultError("checksum", f"map {map_id} segment read")
         return seg_bytes
-
-    def _fault_gate(
-        self, requester_node: Any, map_id: int
-    ) -> Generator[Event, Any, None]:
-        """Refuse doomed requests up front (fault injection only)."""
-        from repro.faults import FaultError
-
-        faults = self.ctx.faults
-        stall = faults.stall_penalty(self.tt.name)
-        if stall > 0:
-            yield self.ctx.sim.timeout(stall)
-        if faults.node_dead(self.tt.name):
-            raise FaultError("crash", self.tt.name)
-        if faults.path_down(self.tt.name, requester_node.name):
-            raise FaultError("link", f"{self.tt.name}<->{requester_node.name}")
-        if map_id not in self.tt.map_outputs:
-            raise FaultError("lost", f"map {map_id}")
-        integ = self.ctx.integrity
-        if integ is not None:
-            _meta, file = self.tt.map_outputs[map_id]
-            kind = integ.segment_serve_fault(self.tt.name, file.name)
-            if kind is not None:
-                raise FaultError(kind, f"map {map_id} segment")
-        if faults.disk_read_fails(self.tt.name):
-            if integ is not None:
-                integ.note_disk_error(self.tt.name)
-            raise FaultError("disk", f"map {map_id} spill read")
 
 
 class HttpShuffleConsumer(ShuffleConsumer):
@@ -307,28 +291,20 @@ class HttpShuffleConsumer(ShuffleConsumer):
                     self._start_memory_merge()
 
     def _fetch_segment(self, meta: MapOutputMeta) -> Generator[Event, Any, float]:
-        """One segment fetch; with a fault plan, the full recovery loop.
+        """One segment fetch, with recovery.
 
         Retries with back-off / penalty box on transient failures; after
         ``fetch_retry_limit`` consecutive failures the output is reported
         lost and the copier parks until the re-executed map's replacement
-        meta arrives, then fetches from the new host.
+        meta arrives, then fetches from the new host.  Without a fault plan
+        nothing fails, and this is one request.
         """
         ctx = self.ctx
-        if ctx.faults is None:
-            provider = ctx.trackers[meta.host].provider
-            assert isinstance(provider, HttpShuffleProvider)
-            got = yield from provider.serve(self.node, meta.map_id, self.reduce_id)
-            return got
-
-        from repro.faults import FaultError
-        from repro.mapreduce.maptask import TaskFailure
-
         conf = ctx.conf
         faults = ctx.faults
         failures = 0
         while True:
-            if faults.node_dead(self.node.name):
+            if faults is not None and faults.node_dead(self.node.name):
                 raise TaskFailure(f"reduce-{self.reduce_id}", self.attempt)
             # Always chase the *current* copy of the output: a replacement
             # may have been committed while this copier was backing off.
@@ -341,6 +317,7 @@ class HttpShuffleConsumer(ShuffleConsumer):
                 yield ctx.sim.timeout(wait)
                 continue
             provider = ctx.trackers[host].provider
+            assert isinstance(provider, HttpShuffleProvider)
             try:
                 got = yield from provider.serve(
                     self.node, meta.map_id, self.reduce_id

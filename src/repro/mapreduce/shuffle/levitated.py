@@ -37,6 +37,8 @@ from typing import TYPE_CHECKING, Any
 from repro.core.packets import Packetizer
 from repro.core.protocol import DataRequest, MapOutputMeta
 from repro.core.virtualmerge import VirtualMerger
+from repro.faults import FaultError
+from repro.mapreduce.maptask import TaskFailure
 from repro.mapreduce.shuffle.base import CreditGate, ShuffleConsumer, ShuffleProvider
 from repro.sim.core import Event
 from repro.sim.resources import Store
@@ -134,66 +136,38 @@ class QueueingProvider(ShuffleProvider):
             self.data_request_queue.put(self._parked_requests.popleft())
 
     def _responder(self) -> Generator[Event, Any, None]:
-        ctx = self.ctx
         while True:
             req, done, requester = yield self.data_request_queue.get()
             if self._parked_requests:
                 self._admit_parked()
-            if ctx.faults is not None:
-                yield from self._serve_faulted(req, done, requester)
-                continue
-            meta, file = self.tt.output_of(req.map_id)
-            seg_bytes, seg_pairs = meta.segment(req.reduce_id)
-            take = max(0.0, min(req.max_bytes, seg_bytes - req.offset))
-            if take <= 0:
-                done.succeed(0.0)
-                continue
-            cached = yield from self.fetch_payload(req, meta, file, take)
-            if ctx.integrity is not None and not cached:
-                # Checksums on, nothing corrupting (corruption implies the
-                # faulted path): verify-on-read always passes, counters move.
-                ctx.integrity.check_segment_read(self.tt.name, file, take)
-            # Message accounting from the engine's packet plan.
-            model = ctx.conf.record_model
-            pairs = max(1, int(round(take / model.avg_pair_bytes)))
-            plan = self.packetizer().plan(
-                take, pairs, model.avg_pair_bytes, model.max_pair_bytes
-            )
-            ep = ctx.ucr.endpoint(self.tt.node, requester)
-            yield from ep.send(
-                take + RESPONSE_HEADER_BYTES * max(1, plan.n_packets),
-                messages=max(1, plan.n_packets),
-            )
-            self.bytes_served += take
-            ctx.counters.add("shuffle.bytes", take)
-            eof = req.offset + take >= seg_bytes
-            self.after_serve(req, meta, eof, cached=bool(cached))
-            done.succeed(take)
+            yield from self._serve(req, done, requester)
 
-    def _serve_faulted(
+    def _serve(
         self, req: DataRequest, done: Event, requester: Any
     ) -> Generator[Event, Any, None]:
-        """One response under fault injection.
+        """RDMAResponder: answer one DataRequest through ``done``.
 
         Failures are delivered *through* ``done`` (the requester's retry
         loop handles them); the event is pre-defused so a cancelled
         requester doesn't turn the refusal into an unhandled failure.
+        Without a fault plan none of them can happen.
         """
-        from repro.faults import FaultError
-
         ctx = self.ctx
         faults = ctx.faults
-        stall = faults.stall_penalty(self.tt.name)
-        if stall > 0:
-            # Hung service threads: requests queued behind the stall are
-            # simply served late, the consumer just waits longer.
-            yield ctx.sim.timeout(stall)
-        if faults.node_dead(self.tt.name):
-            done.fail(FaultError("crash", self.tt.name)).defuse()
-            return
-        if faults.link_down(self.tt.name) or faults.link_down(requester.name):
-            done.fail(FaultError("link", f"{self.tt.name}<->{requester.name}")).defuse()
-            return
+        if faults is not None:
+            stall = faults.stall_penalty(self.tt.name)
+            if stall > 0:
+                # Hung service threads: requests queued behind the stall
+                # are simply served late, the consumer just waits longer.
+                yield ctx.sim.timeout(stall)
+            if faults.node_dead(self.tt.name):
+                done.fail(FaultError("crash", self.tt.name)).defuse()
+                return
+            if faults.path_down(self.tt.name, requester.name):
+                done.fail(
+                    FaultError("link", f"{self.tt.name}<->{requester.name}")
+                ).defuse()
+                return
         entry = self.tt.map_outputs.get(req.map_id)
         if entry is None:
             # Output condemned after the request was queued.
@@ -211,7 +185,7 @@ class QueueingProvider(ShuffleProvider):
             if kind is not None:
                 done.fail(FaultError(kind, f"map {req.map_id} segment")).defuse()
                 return
-        if faults.disk_read_fails(self.tt.name):
+        if faults is not None and faults.disk_read_fails(self.tt.name):
             if integ is not None:
                 integ.note_disk_error(self.tt.name)
             done.fail(FaultError("disk", f"map {req.map_id} spill read")).defuse()
@@ -797,30 +771,18 @@ class StreamingConsumer(ShuffleConsumer):
     def _request(
         self, state: FetchState, nbytes: float
     ) -> Generator[Event, Any, float]:
-        """RDMACopier: request/response over UCR endpoints.
+        """RDMACopier: one exchange, with recovery.
 
-        Under fault injection this wraps the raw exchange in the retry /
-        back-off / penalty-box / report-lost loop; without a plan it is
-        exactly the raw exchange.
+        Retries transient failures with back-off and the penalty box,
+        and reports a run lost after ``fetch_retry_limit`` consecutive
+        failures (or at once when the on-disk output is rotten).  Without
+        a fault plan nothing fails, and this is one raw exchange.
         """
-        if self.ctx.faults is None:
-            got = yield from self._request_once(state, nbytes)
-            return got
-        got = yield from self._request_robust(state, nbytes)
-        return got
-
-    def _request_robust(
-        self, state: FetchState, nbytes: float
-    ) -> Generator[Event, Any, float]:
-        """Fetch with recovery: retries, back-off, and loss reporting."""
-        from repro.faults import FaultError
-        from repro.mapreduce.maptask import TaskFailure
-
         ctx = self.ctx
         conf = ctx.conf
         faults = ctx.faults
         while True:
-            if faults.node_dead(self.node.name):
+            if faults is not None and faults.node_dead(self.node.name):
                 # Our own node is gone; the whole reduce attempt dies.
                 raise TaskFailure(f"reduce-{self.reduce_id}", self.attempt)
             if state.lost:
@@ -868,11 +830,6 @@ class StreamingConsumer(ShuffleConsumer):
         tt_node = ctx.cluster.node(state.meta.host)
         if not ctx.ucr.is_connected(self.node, tt_node):
             yield from ctx.ucr.connect(self.node, tt_node)
-        if ctx.conf.fetch_failure_rate > 0:
-            fate = ctx.rng.stream("fetchfail")
-            while fate.uniform() < ctx.conf.fetch_failure_rate:
-                ctx.counters.add("shuffle.fetch_retries", 1)
-                yield ctx.sim.timeout(ctx.conf.fetch_retry_delay)
         t0 = ctx.sim.now
         integ = ctx.integrity
         while True:

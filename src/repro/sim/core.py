@@ -261,7 +261,9 @@ class Process(Event):
         """Throw :class:`Interrupted` into the process at the current time.
 
         The event the process is waiting on remains pending; the process
-        may re-wait on it after handling the interrupt.
+        may re-wait on it after handling the interrupt.  As in SimPy, an
+        interrupt still pending when the process terminates is dropped, so
+        two kills landing in the same instant cannot crash the kernel.
         """
         if not self.is_alive:
             raise SimulationError(f"{self!r} already terminated")
@@ -271,8 +273,12 @@ class Process(Event):
         interrupt_evt._ok = False
         interrupt_evt._value = Interrupted(cause)
         interrupt_evt._defused = True
-        interrupt_evt.callbacks.append(self._resume)
+        interrupt_evt.callbacks.append(self._deliver_interrupt)
         self.sim._schedule(interrupt_evt, 0.0, URGENT)
+
+    def _deliver_interrupt(self, event: Event) -> None:
+        if self._value is _PENDING:
+            self._resume(event)
 
     def _resume(self, event: Event) -> None:
         # Detach from whatever we were officially waiting on (interrupt path).

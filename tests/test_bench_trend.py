@@ -144,6 +144,7 @@ def _sweep_doc(
     cpus: int = 4,
     workers: int = 4,
     scale: float = 0.05,
+    digests: dict | None = None,
 ) -> dict:
     return {
         "benchmark": "sweep",
@@ -156,6 +157,7 @@ def _sweep_doc(
         "fingerprints_equal": fingerprints_equal,
         "serial_seconds": 4.0,
         "parallel_seconds": 4.0 / speedup,
+        "digests": digests or {"IPoIB@20": "a1", "OSU-IB@20": "b2"},
     }
 
 
@@ -265,6 +267,18 @@ def test_sweep_gate_fails_on_fingerprint_mismatch(dirs):
     _write(fresh, "BENCH_sweep.json", _sweep_doc(5.0, fingerprints_equal=False))
     problems, _ = bench_trend.check(fresh, base, tolerance=0.05)
     assert problems and "fingerprints_equal" in problems[0]
+
+
+def test_sweep_gate_fails_when_one_digest_differs(dirs):
+    fresh, base = dirs
+    _write(base, "BENCH_sweep.json", _sweep_doc(3.0))
+    # Serial == parallel and fast, but one point's fault-free outcome moved.
+    moved = {"IPoIB@20": "a1", "OSU-IB@20": "c3"}
+    _write(fresh, "BENCH_sweep.json", _sweep_doc(3.4, digests=moved))
+    problems, _ = bench_trend.check(fresh, base, tolerance=0.05)
+    assert len(problems) == 1
+    assert "digests" in problems[0] and "OSU-IB@20" in problems[0]
+    assert "IPoIB@20" not in problems[0]
 
 
 def test_sweep_gate_fails_on_lost_speedup(dirs):

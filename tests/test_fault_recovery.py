@@ -5,10 +5,11 @@ Covers the :mod:`repro.faults` machinery proper: node crashes mid-job
 back-off / penalty box, verbs->IPoIB downgrade), disk read errors, and
 responder stalls.  The transparent-overhead invariant — a job with no
 fault plan behaves bit-identically to one built before this subsystem
-existed — is checked via counter-key absence and determinism.
+existed — is checked via counter-key absence and determinism, and "no
+faults" is the empty plan.
 
-Legacy rate-based injection (map_failure_rate etc.) lives in
-test_fault_tolerance.py.
+The plan's task-failure rates (``map_failure_rate`` /
+``reduce_failure_rate``) are covered in test_fault_tolerance.py.
 """
 
 import pytest
@@ -199,11 +200,13 @@ def test_no_plan_leaves_no_fault_footprint():
     assert fault_keys == [], f"fault-free run leaked fault keys: {fault_keys}"
 
 
-def test_empty_plan_matches_no_plan():
-    a = run("http")
-    b = run("http", fault_plan=None)
+@pytest.mark.parametrize("engine", ["http", "hadoopa", "rdma"])
+def test_empty_plan_matches_no_plan(engine):
+    a = run(engine, fault_plan=None)
+    b = run(engine, fault_plan=FaultPlan())
     assert a.counters == b.counters
     assert a.execution_time == b.execution_time
+    assert sorted(a.metrics) == sorted(b.metrics)
 
 
 def test_plan_crashing_every_node_rejected():

@@ -329,6 +329,30 @@ def test_interrupt_dead_process_raises():
         p.interrupt()
 
 
+def test_second_interrupt_in_the_same_instant_is_dropped_after_exit():
+    # Two kills land in one instant; the victim handles the first and
+    # returns, so the second arrives at a finished process and is dropped.
+    sim = Simulator()
+    log = []
+
+    def victim(sim):
+        try:
+            yield sim.timeout(100)
+        except Interrupted as i:
+            log.append((sim.now, i.cause))
+
+    def attacker(sim, victim_proc):
+        yield sim.timeout(5)
+        victim_proc.interrupt("node-crash")
+        victim_proc.interrupt("lost speculative race")
+
+    v = sim.process(victim(sim))
+    sim.process(attacker(sim, v))
+    sim.run()
+    assert log == [(5, "node-crash")]
+    assert v.processed and v.ok
+
+
 def test_peek_reports_next_event_time():
     sim = Simulator()
     assert sim.peek() == float("inf")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import westmere_cluster
+from repro.faults import FaultPlan
 from repro.mapreduce import run_job, terasort_job
 from repro.tools import TaskSpan, phase_breakdown, render_gantt
 
@@ -89,7 +90,9 @@ def test_simulated_job_records_spans():
 
 
 def test_failed_attempts_recorded_in_spans():
-    conf = terasort_job(2 * GB, 2, "rdma", map_failure_rate=0.35)
+    conf = terasort_job(
+        2 * GB, 2, "rdma", fault_plan=FaultPlan(map_failure_rate=0.35)
+    )
     result = run_job(westmere_cluster(2), "ipoib", conf)
     failed = [s for s in result.task_spans if not s.ok]
     assert len(failed) == result.counters["map.failed_attempts"]

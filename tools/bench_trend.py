@@ -25,6 +25,10 @@ compare function per benchmark:
   speedup on an undersized machine measures the machine, not the code;
   the invariant keys are still enforced.
 
+Any gate may also list ``exact`` keys: values that must equal the
+baseline exactly (the sweep's per-point digests of fault-free results —
+a refactor that moves any simulated outcome fails here, however small).
+
 Documents whose ``benchmark`` field has no registry entry fall back to
 the figure gate: every OSU-IB improvement factor must match the
 baseline within ``--tolerance`` (absolute, on the fractional
@@ -71,6 +75,7 @@ class Gate:
     floor_message: str = ""
     require_true: tuple[str, ...] = ()  # invariant keys (must be truthy)
     cpu_aware: bool = False  # min_speedup: skip when cpus < workers
+    exact: tuple[str, ...] = ()  # keys that must equal the baseline exactly
     baseline_keys: tuple[str, ...] = ()
 
 
@@ -141,14 +146,19 @@ GATES: dict[str, Gate] = {
             "output_bytes_agree",
         ),
     ),
-    # Parallel sweep: bit-identity is absolute; the wall-clock speedup
-    # is compared only on machines with enough CPUs to host the workers.
+    # Parallel sweep: bit-identity (serial vs parallel, and every
+    # point's fault-free outcome vs the baseline) is absolute; the
+    # wall-clock speedup is compared only on machines with enough CPUs to
+    # host the workers.
     "sweep": Gate(
         kind="min_speedup",
         tolerance=0.5,
         require_true=("fingerprints_equal",),
         cpu_aware=True,
-        baseline_keys=("speedup", "workers", "points", "fingerprints_equal"),
+        exact=("digests",),
+        baseline_keys=(
+            "speedup", "workers", "points", "fingerprints_equal", "digests"
+        ),
     ),
 }
 
@@ -285,7 +295,21 @@ def apply_gate(
     if gate is None:
         return compare_figure(name, fresh, base, cli_tolerance), []
     tolerance = cli_tolerance if gate.tolerance is None else gate.tolerance
-    return _GATE_KINDS[gate.kind](name, fresh, base, gate, tolerance)
+    problems, notes = _GATE_KINDS[gate.kind](name, fresh, base, gate, tolerance)
+    for key in gate.exact:
+        want, got = base.get(key), fresh.get(key)
+        if want is None or got == want:
+            continue
+        if isinstance(want, dict) and isinstance(got, dict):
+            drifted = sorted(
+                k for k in want.keys() | got.keys() if got.get(k) != want.get(k)
+            )
+            problems.append(
+                f"{name}: {key} differ from baseline at {', '.join(drifted)}"
+            )
+        else:
+            problems.append(f"{name}: {key} differ from baseline")
+    return problems, notes
 
 
 def check(
