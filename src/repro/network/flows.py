@@ -12,7 +12,8 @@ recomputed with the classic water-filling algorithm:
 
 A per-flow rate cap (the transport's effective single-stream bandwidth) is
 expressed as a private single-flow link, which folds it into the same
-algorithm with no special cases.
+algorithm; the water-fill only keeps those links out of its per-level
+scan, since a private link's share is just its capacity.
 
 Incremental re-rating
 ---------------------
@@ -63,6 +64,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
+from operator import attrgetter
 
 from repro.sim.core import Event, Simulator, Timeout
 
@@ -92,7 +94,7 @@ _CAP_FIT_MARGIN = 1e-9
 class Link:
     """A directed, capacity-bounded network resource (bytes/second)."""
 
-    __slots__ = ("name", "capacity", "flows", "bytes_carried")
+    __slots__ = ("name", "capacity", "flows", "bytes_carried", "transparent")
 
     def __init__(self, name: str, capacity: float):
         if capacity <= 0:
@@ -101,7 +103,12 @@ class Link:
         self.capacity = float(capacity)
         # Insertion-ordered (dict-as-set): deterministic float accumulation.
         self.flows: dict["Flow", None] = {}
+        #: Bytes drained across this link (private rate-cap links are not
+        #: credited: only the flow that owns them ever crosses them).
         self.bytes_carried = 0.0
+        #: Cached :meth:`FlowNetwork._transparent` verdict; ``None`` once
+        #: the population, this capacity or a crossing flow's cap changes.
+        self.transparent: bool | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link {self.name} {self.capacity/1e6:.0f} MB/s {len(self.flows)} flows>"
@@ -122,11 +129,24 @@ class Flow:
         "eta_gen",
         "net",
         "cap_link",
+        "shared",
     )
 
-    def __init__(self, fid: int, links: tuple[Link, ...], nbytes: float, event: Event, now: float):
+    def __init__(
+        self,
+        fid: int,
+        shared: tuple[Link, ...],
+        nbytes: float,
+        event: Event,
+        now: float,
+        cap_link: Link | None = None,
+    ):
         self.id = fid
-        self.links = links
+        #: Every link the flow crosses: ``shared`` plus the cap link, last.
+        self.links = shared if cap_link is None else shared + (cap_link,)
+        #: The links the flow may share with others (all but the cap link):
+        #: what the water-fill scans and the component walk expands.
+        self.shared = shared
         self.remaining = float(nbytes)
         self.size = float(nbytes)
         self._rate = 0.0
@@ -142,7 +162,7 @@ class Flow:
         self.net: "FlowNetwork | None" = None
         #: The private rate-cap link, when the transfer carries one
         #: (lets the cap-pinned fast path reason about caps statically).
-        self.cap_link: Link | None = None
+        self.cap_link = cap_link
 
     @property
     def rate(self) -> float:
@@ -228,16 +248,13 @@ class FlowNetwork:
         if nbytes == 0:
             event.succeed(0.0)
             return event
-        flow_links = tuple(links)
         fid = next(self._fids)
         cap_link: Link | None = None
         if rate_cap is not None:
             if rate_cap <= 0:
                 raise ValueError(f"rate_cap must be positive, got {rate_cap}")
             cap_link = Link(f"cap#{fid}", rate_cap)
-            flow_links = flow_links + (cap_link,)
-        flow = Flow(fid, flow_links, nbytes, event, self.sim.now)
-        flow.cap_link = cap_link
+        flow = Flow(fid, tuple(links), nbytes, event, self.sim.now, cap_link)
 
         if not self.incremental:
             self._advance_progress()
@@ -263,11 +280,7 @@ class FlowNetwork:
         # are seeded: a link transparent *with* the newcomer admitted was
         # transparent before it too, so it carries no influence in either
         # equilibrium and its other flows provably keep their rates.
-        dirty = [
-            link
-            for link in flow.links
-            if link is not cap_link and not self._transparent(link)
-        ]
+        dirty = [link for link in flow.shared if not self._transparent(link)]
         self._mark_dirty(dirty if dirty else flow.links)
         return event
 
@@ -278,13 +291,19 @@ class FlowNetwork:
         bandwidth is cut or restored without the link flapping, so
         in-flight flows neither fail nor restart — they just re-rate.  In
         incremental mode the link seeds its own dirty component; seed
-        links are traversed unconditionally by ``_component``, so even a
+        links are traversed unconditionally by ``_flush``, so even a
         link that was transparent at the old capacity re-rates its flows.
         """
         if capacity <= 0:
             raise ValueError(f"link {link.name!r}: capacity must be positive")
         if capacity == link.capacity:
             return
+        # Transparency reads this capacity (an empty link is transparent
+        # at any capacity), and -- should ``link`` be a cap link -- its
+        # owner's cap, on every link that owner crosses.
+        for flow in link.flows:
+            for other in flow.links:
+                other.transparent = None
         if not self.incremental:
             self._advance_progress()
             link.capacity = float(capacity)
@@ -319,6 +338,7 @@ class FlowNetwork:
         self._flows[flow] = None
         for link in flow.links:
             link.flows[flow] = None
+            link.transparent = None
         self.total_bytes += flow.size
         self.flow_count += 1
         self._stats["changes"] += 1
@@ -329,61 +349,60 @@ class FlowNetwork:
         flow.eta_gen += 1  # invalidate any live ETA entry
         for link in flow.links:
             link.flows.pop(flow, None)
+            link.transparent = None
         self._stats["completions"] += 1
         self._stats["changes"] += 1
         flow.event.succeed(self.sim.now - flow.started_at)
 
-    def _water_fill(self, flows: list[Flow]) -> None:
-        """Max-min fair rates for ``flows`` (a union of whole components).
+    def _water_fill(self, flows: list[Flow]) -> list[float]:
+        """Max-min fair rates for ``flows`` (a union of whole components,
+        no link repeated within a route), returned in ``flows`` order.
 
-        All collections are insertion-ordered for determinism; restricted
-        to one component this performs the exact same arithmetic, in the
-        same order, as a global pass does for that component's flows.
-
-        The level loop runs over flat index arrays rather than dicts of
-        objects: links and flows are numbered once up front (first-seen
-        order — exactly the old dict insertion order), per-link member
-        lists are precomputed in each link's admission order, and the
-        residual/unfixed-count vectors are plain lists.  The bottleneck
-        scan per level then touches two Python lists instead of a dict of
-        Link objects, and fixing a flow walks precomputed index lists —
-        the same float operations in the same order as before (shares are
-        ``residual / n`` on identical residual sequences; the clamp
-        ``max(0.0, r - share)`` keeps its bit pattern), so rates stay
-        bit-identical to the reference oracle.
+        Restricted to one component this is the exact arithmetic a global
+        pass does for that component's flows.  Links are numbered in
+        first-seen order (each flow's links in turn, its cap link last);
+        each level picks the smallest ``residual / unfixed`` share, ties
+        to the lowest number, pins the bottleneck's unfixed flows at it
+        (all at one share, so their order is immaterial) and drains it
+        from every link they cross.  Only shared links are scanned, over
+        flat index arrays.  A private cap link's share is the bit-exact
+        ``cap / 1`` until its owner is pinned, so the caps wait in a list
+        sorted by ``(cap, flow index)`` whose head meets the scan's winner
+        under the same tie-break (flow ``i``'s cap is numbered after its
+        shared links, before any first seen by a later flow): every
+        bottleneck, residual and rate is that of a scan over all links.
         """
         eps = _EPSILON_RATE
         link_index: dict[Link, int] = {}
-        link_list: list[Link] = []
-        flow_links: list[list[int]] = []
-        for flow in flows:
-            flow._rate = 0.0
-            idxs = []
-            for link in flow.links:
+        residual: list[float] = []
+        members: list[list[int]] = []  # flow indices crossing each link
+        first: list[int] = []  # the flow each link was first seen on
+        caps: list[tuple[float, int]] = []  # (cap, flow index)
+        for fi, flow in enumerate(flows):
+            for link in flow.shared:
                 li = link_index.get(link)
                 if li is None:
-                    li = link_index[link] = len(link_list)
-                    link_list.append(link)
-                idxs.append(li)
-            flow_links.append(idxs)
-
-        in_sweep = {flow: fi for fi, flow in enumerate(flows)}
-        residual = [link.capacity for link in link_list]
-        # Per-link members (component-local flow indices) in the link's own
-        # admission order — the order the old code rescanned per level.
-        members: list[list[int]] = [
-            [fi for f in link.flows if (fi := in_sweep.get(f)) is not None]
-            for link in link_list
-        ]
+                    link_index[link] = len(residual)
+                    residual.append(link.capacity)
+                    members.append([fi])
+                    first.append(fi)
+                else:
+                    members[li].append(fi)
+            if flow.cap_link is not None:
+                caps.append((flow.cap_link.capacity, fi))
+        caps.sort()
         unfixed_count = [len(m) for m in members]
 
-        n_links = len(link_list)
+        n_links = len(residual)
+        n_caps = len(caps)
+        head = 0  # caps[head]: the smallest cap whose flow may be unfixed
         remaining = len(flows)
         fixed = bytearray(remaining)
         rates = [0.0] * remaining
         inf = float("inf")
         while remaining:
-            # Smallest fair share across links that still carry unfixed flows.
+            # Smallest fair share across shared links still carrying
+            # unfixed flows.
             bottleneck = -1
             best_share = inf
             for li in range(n_links):
@@ -394,22 +413,36 @@ class FlowNetwork:
                 if share < best_share:
                     best_share = share
                     bottleneck = li
-            if bottleneck < 0:  # pragma: no cover - defensive
+            while head < n_caps and fixed[caps[head][1]]:
+                head += 1
+            if head < n_caps and (
+                caps[head][0] < best_share
+                or (
+                    bottleneck >= 0
+                    and caps[head][0] == best_share
+                    and caps[head][1] < first[bottleneck]
+                )
+            ):
+                best_share, fi = caps[head]
+                fixing: list[int] | tuple[int] = (fi,)
+            elif bottleneck < 0:  # pragma: no cover - defensive
                 break
+            else:
+                fixing = members[bottleneck]
             if best_share < eps:
                 best_share = eps
-            for fi in members[bottleneck]:
+            for fi in fixing:
                 if fixed[fi]:
                     continue
                 fixed[fi] = 1
                 rates[fi] = best_share
                 remaining -= 1
-                for li in flow_links[fi]:
+                for link in flows[fi].shared:
+                    li = link_index[link]
                     r = residual[li] - best_share
                     residual[li] = r if r > 0.0 else 0.0
                     unfixed_count[li] -= 1
-        for flow, rate in zip(flows, rates):
-            flow._rate = rate
+        return rates
 
     # -- incremental mode ----------------------------------------------------
 
@@ -423,17 +456,26 @@ class FlowNetwork:
         above the sum of unfixed caps — so the link is never selected and
         never fixes a flow.  Influence cannot propagate through such a
         link, which both enables the cap-pinned fast path and lets the
-        component BFS prune it (transparency depends only on the link's
+        component walk prune it (transparency depends only on the link's
         population, so a non-seed link that is transparent now was
         transparent at the previous equilibrium too).
+
+        The verdict is cached on the link until ``_admit``, ``_finish`` or
+        ``set_capacity`` invalidates it; a miss sums the caps afresh in
+        admission order.
         """
-        total = 0.0
-        for peer in link.flows:
-            peer_cap = peer.cap_link
-            if peer_cap is None:
-                return False
-            total += peer_cap.capacity
-        return total <= link.capacity * (1.0 - _CAP_FIT_MARGIN)
+        verdict = link.transparent
+        if verdict is None:
+            total = 0.0
+            for peer in link.flows:
+                peer_cap = peer.cap_link
+                if peer_cap is None:
+                    link.transparent = False
+                    return False
+                total += peer_cap.capacity
+            verdict = total <= link.capacity * (1.0 - _CAP_FIT_MARGIN)
+            link.transparent = verdict
+        return verdict
 
     def _cap_pinned(self, flow: Flow) -> bool:
         """True when ``flow``'s arrival/departure provably leaves every
@@ -447,46 +489,10 @@ class FlowNetwork:
         cap_link = flow.cap_link
         if cap_link is None or cap_link.capacity < _EPSILON_RATE:
             return False
-        return all(
-            link is cap_link or self._transparent(link) for link in flow.links
-        )
-
-    def _component(self, seed_links: tuple[Link, ...] | list[Link]) -> list[Flow]:
-        """Active flows whose rates may change given a population change on
-        ``seed_links``, in admission order (the oracle's iteration order).
-
-        Seed links are traversed unconditionally (their population changed,
-        so their flows' rates are in question), but the BFS only expands
-        through links that could actually carry influence: a transparent
-        link (see :meth:`_transparent`) never bottlenecks in either the
-        old or the new equilibrium, so flows beyond it provably keep
-        their rates and are pruned.  This splits the all-to-all shuffle
-        pattern into per-contended-link components instead of one giant
-        component spanning the whole fabric.
-        """
-        found: set[Flow] = set()
-        seen_links: set[Link] = set()
-        opaque: dict[Link, bool] = {}
-        pending: list[Link] = list(seed_links)
-        while pending:
-            link = pending.pop()
-            if link in seen_links:
-                continue
-            seen_links.add(link)
-            for flow in link.flows:
-                if flow not in found:
-                    found.add(flow)
-                    cap_link = flow.cap_link
-                    for nxt in flow.links:
-                        if nxt is cap_link or nxt in seen_links:
-                            continue
-                        blocked = opaque.get(nxt)
-                        if blocked is None:
-                            blocked = not self._transparent(nxt)
-                            opaque[nxt] = blocked
-                        if blocked:
-                            pending.append(nxt)
-        return sorted(found, key=lambda f: f.id)
+        for link in flow.shared:
+            if not self._transparent(link):
+                return False
+        return True
 
     def _mark_dirty(self, links: tuple[Link, ...] | list[Link]) -> None:
         """Queue ``links`` for the per-timestamp batched re-rate.
@@ -509,14 +515,81 @@ class FlowNetwork:
         self._flush()
 
     def _flush(self) -> None:
-        """Re-rate the union of components touched since the last flush."""
+        """Re-rate the union of components touched since the last flush.
+
+        The component is every active flow whose rate may change given a
+        population change on the dirty links, taken in admission order
+        (the oracle's iteration order).  Dirty links are traversed
+        unconditionally (their population changed, so their flows' rates
+        are in question), but the walk only expands through links that
+        could actually carry influence: a transparent link never
+        bottlenecks in either the old or the new equilibrium, so flows
+        beyond it provably keep their rates and are pruned.  This splits
+        the all-to-all shuffle pattern into per-contended-link components
+        instead of one giant component spanning the whole fabric.
+
+        One pass over the component then drains each flow at its old rate
+        since its own last advance (lazy per-flow progress), installs the
+        new rate and pushes the new ETA entry.
+        """
         if not self._dirty_links:
             return
-        seeds, self._dirty_links = self._dirty_links, []
-        self._stats["flushes"] += 1
-        component = self._component(seeds)
-        self._advance(component)
-        self._rerate_component(component)
+        pending, self._dirty_links = self._dirty_links, []
+        stats = self._stats
+        stats["flushes"] += 1
+        transparent = self._transparent
+        found: set[Flow] = set()
+        seen_links: set[Link] = set()
+        while pending:
+            link = pending.pop()
+            if link in seen_links:
+                continue
+            seen_links.add(link)
+            for flow in link.flows:
+                if flow not in found:
+                    found.add(flow)
+                    for nxt in flow.shared:
+                        if nxt not in seen_links and not transparent(nxt):
+                            pending.append(nxt)
+        if found:
+            component = sorted(found, key=attrgetter("id"))
+            stats["rerates"] += 1
+            stats["rerate_touched_flows"] += len(component)
+            if len(component) == 1 and all(
+                len(link.flows) == 1 for link in component[0].links
+            ):
+                # Analytic fast path: an uncontended flow owns every link
+                # it crosses, so its max-min rate is the bottleneck capacity.
+                links = component[0].links
+                rates = [max(min(link.capacity for link in links), _EPSILON_RATE)]
+                stats["fastpath_rerates"] += 1
+            else:
+                rates = self._water_fill(component)
+            now = self.sim.now
+            heap = self._eta_heap
+            push = heapq.heappush
+            compact_above = _ETA_COMPACT_SLACK + 4 * len(self._flows)
+            advanced = 0
+            for flow, rate in zip(component, rates):
+                dt = now - flow.advanced_at
+                if dt > 0:
+                    flow.advanced_at = now
+                    drained = flow._rate * dt
+                    if drained:
+                        flow.remaining -= drained
+                        for link in flow.shared:
+                            link.bytes_carried += drained
+                    advanced += 1
+                flow._rate = rate
+                gen = flow.eta_gen = flow.eta_gen + 1
+                if rate > _EPSILON_RATE:  # else starved: no ETA yet
+                    left = flow.remaining
+                    eta = now + (0.0 if left < 0.0 else left) / rate
+                    push(heap, (eta, flow.id, gen, flow))
+                    if len(heap) > compact_above:
+                        self._compact_eta()
+                        heap = self._eta_heap
+            stats["advanced_flows"] += advanced
         self._schedule_wake()
 
     def _advance(self, flows: list[Flow]) -> None:
@@ -532,47 +605,27 @@ class FlowNetwork:
             drained = flow._rate * dt
             if drained:
                 flow.remaining -= drained
-                for link in flow.links:
+                for link in flow.shared:
                     link.bytes_carried += drained
             stats["advanced_flows"] += 1
-
-    def _rerate_component(self, component: list[Flow]) -> None:
-        """Recompute rates for one component and refresh its ETA entries."""
-        if not component:
-            return
-        self._stats["rerates"] += 1
-        self._stats["rerate_touched_flows"] += len(component)
-        if len(component) == 1 and all(
-            len(link.flows) == 1 for link in component[0].links
-        ):
-            # Analytic fast path: an uncontended flow owns every link it
-            # crosses, so its max-min rate is simply the bottleneck capacity.
-            (flow,) = component
-            flow._rate = max(
-                min(link.capacity for link in flow.links), _EPSILON_RATE
-            )
-            self._stats["fastpath_rerates"] += 1
-        else:
-            self._water_fill(component)
-        for flow in component:
-            if flow._rate > _EPSILON_RATE:
-                self._push_eta(flow)
-            else:
-                flow.eta_gen += 1  # starved: no completion schedulable yet
 
     def _push_eta(self, flow: Flow) -> None:
         flow.eta_gen += 1
         eta = self.sim.now + serial_transfer_time(max(flow.remaining, 0.0), flow._rate)
         heapq.heappush(self._eta_heap, (eta, flow.id, flow.eta_gen, flow))
         if len(self._eta_heap) > _ETA_COMPACT_SLACK + 4 * len(self._flows):
-            live = [
-                entry
-                for entry in self._eta_heap
-                if entry[3] in self._flows and entry[2] == entry[3].eta_gen
-            ]
-            heapq.heapify(live)
-            self._eta_heap = live
-            self._stats["eta_compactions"] += 1
+            self._compact_eta()
+
+    def _compact_eta(self) -> None:
+        """Drop stale ETA entries (the heap has outgrown the live flows)."""
+        live = [
+            entry
+            for entry in self._eta_heap
+            if entry[3] in self._flows and entry[2] == entry[3].eta_gen
+        ]
+        heapq.heapify(live)
+        self._eta_heap = live
+        self._stats["eta_compactions"] += 1
 
     def _earliest_eta(self) -> float | None:
         """Next completion time, purging stale heap heads."""
@@ -663,11 +716,8 @@ class FlowNetwork:
             if self._cap_pinned(flow):
                 self._stats["fastpath_removals"] += 1
             else:
-                cap_link = flow.cap_link
                 seed_links.extend(
-                    link
-                    for link in flow.links
-                    if link is not cap_link and not self._transparent(link)
+                    link for link in flow.shared if not self._transparent(link)
                 )
             self._finish(flow)
         if seed_links:
@@ -692,7 +742,7 @@ class FlowNetwork:
         for flow in self._flows:
             drained = flow.rate * dt
             flow.remaining -= drained
-            for link in flow.links:
+            for link in flow.shared:
                 link.bytes_carried += drained
 
     def _rerate(self) -> None:
@@ -702,7 +752,9 @@ class FlowNetwork:
             return
         self._stats["rerates"] += 1
         self._stats["rerate_touched_flows"] += len(self._flows)
-        self._water_fill(list(self._flows))
+        flows = list(self._flows)
+        for flow, rate in zip(flows, self._water_fill(flows)):
+            flow._rate = rate
 
         # Next completion.
         soonest = float("inf")

@@ -129,6 +129,25 @@ def test_update_baselines_prunes_noise(dirs):
     assert problems == []
 
 
+def test_simperf_rerate_counters_must_match_exactly(dirs):
+    fresh, base = dirs
+    counters = {"net.rerates": 6398.0, "net.flushes": 7219.0, "sim.events": 328606.0}
+    doc = {**_simperf_doc(2.28, 1.03), "rerate_counters": counters}
+    _write(fresh, "BENCH_simperf.json", doc)
+    bench_trend.update_baselines(fresh, base)
+    committed = json.loads((base / "BENCH_simperf.json").read_text())
+    assert committed["rerate_counters"] == counters
+    problems, _ = bench_trend.check(fresh, base, tolerance=0.05)
+    assert problems == []
+    # Faster ratios do not excuse one re-rate more.
+    moved = {**counters, "net.rerates": 6399.0}
+    _write(fresh, "BENCH_simperf.json", {**_simperf_doc(3.0, 1.2), "rerate_counters": moved})
+    problems, _ = bench_trend.check(fresh, base, tolerance=0.05)
+    assert len(problems) == 1
+    assert "rerate_counters" in problems[0] and "net.rerates" in problems[0]
+    assert "sim.events" not in problems[0]
+
+
 def _slowdown_doc(benchmark: str, rdma: float, scale: float = 0.05) -> dict:
     return {
         "benchmark": benchmark,

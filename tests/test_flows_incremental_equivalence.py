@@ -7,12 +7,16 @@ to the wake tick / float-accumulation granularity (rates are computed by
 bit-identical arithmetic; only byte-drain bookkeeping is chunked
 differently by lazy progress).
 
+The workload also degrades and restores NIC links mid-run through
+``set_capacity`` (the :class:`repro.faults.LinkDegrade` actuator), which
+must invalidate the cached transparency of every link it can affect.
+
 Also covers wake-up hygiene: churning thousands of flows through one
 network must not grow the simulator calendar (superseded wake-ups are
 cancelled and compacted, not abandoned).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.network.flows import _MIN_TICK, FlowNetwork, Link
@@ -25,11 +29,14 @@ _TIME_ATOL = 5 * _MIN_TICK
 _TIME_RTOL = 1e-8
 
 
-def _mirrored_run(n_nics, nic_caps, transfers, incremental):
-    """One simulation of ``transfers`` over ``n_nics`` full-duplex NICs.
+def _mirrored_run(n_nics, nic_caps, transfers, incremental, degrades=()):
+    """One simulation of ``transfers`` over ``n_nics`` full-duplex NICs,
+    with ``degrades`` ``(delay, nic, direction, factor)`` setting a NIC
+    link to ``factor`` times its base capacity.
 
-    Returns (samples, completions): per-admission rate-vector snapshots
-    ``{admission_idx: {flow_id: rate}}`` and ``{transfer_idx: finish_time}``.
+    Returns (samples, completions): rate-vector snapshots after each
+    admission and each degrade step ``{step_idx: {flow_id: rate}}`` and
+    ``{transfer_idx: finish_time}``.
     """
     sim = Simulator()
     net = FlowNetwork(sim, incremental=incremental)
@@ -49,8 +56,15 @@ def _mirrored_run(n_nics, nic_caps, transfers, incremental):
         samples[idx] = {f.id: f.rate for f in net._flows}
         done.add_callback(lambda _e, i=idx: completions.__setitem__(i, sim.now))
 
+    def degrade(idx, delay, nic, direction, factor):
+        yield sim.timeout(delay)
+        net.set_capacity(nics[nic][direction], nic_caps[nic] * factor)
+        samples[idx] = {f.id: f.rate for f in net._flows}
+
     for idx, (delay, src, dst, size, cap) in enumerate(transfers):
         sim.process(admit(idx, delay, src, dst, size, cap))
+    for idx, step in enumerate(degrades, start=len(transfers)):
+        sim.process(degrade(idx, *step))
     sim.run()
     return samples, completions
 
@@ -82,15 +96,39 @@ def _workload(draw):
         (float(d), s % n_nics, t % n_nics, size, cap)
         for d, s, t, size, cap in transfers
     ]
-    return n_nics, nic_caps, transfers
+    degrades = draw(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=8.0),  # when (s)
+                st.integers(min_value=0, max_value=3),  # nic
+                st.integers(min_value=0, max_value=1),  # tx or rx
+                st.sampled_from([0.25, 0.5, 1.0, 2.0]),  # 1.0 restores
+            ),
+            max_size=4,
+        )
+    )
+    degrades = [(d, nic % n_nics, rx, f) for d, nic, rx, f in degrades]
+    return n_nics, nic_caps, transfers, degrades
 
 
 @given(_workload())
+# Two capped flows make n0.tx transparent (300 + 300 < 1000) until the cut
+# to 400 makes it the bottleneck; when the short flow drains, the long one
+# must speed up from 200 to its 300 cap, so the cut has to have reset the
+# link's cached transparency.
+@example(
+    (
+        2,
+        [1000.0] * 4,
+        [(0.0, 0, 1, 1000.0, 300.0), (0.0, 0, 1, 3000.0, 300.0)],
+        [(1.0, 0, 0, 0.4)],
+    )
+)
 @settings(max_examples=120, deadline=None)
 def test_incremental_matches_global_oracle(workload):
-    n_nics, nic_caps, transfers = workload
-    inc_samples, inc_done = _mirrored_run(n_nics, nic_caps, transfers, True)
-    ora_samples, ora_done = _mirrored_run(n_nics, nic_caps, transfers, False)
+    n_nics, nic_caps, transfers, degrades = workload
+    inc_samples, inc_done = _mirrored_run(n_nics, nic_caps, transfers, True, degrades)
+    ora_samples, ora_done = _mirrored_run(n_nics, nic_caps, transfers, False, degrades)
 
     # Every transfer completes in both modes, at matching times.
     assert set(inc_done) == set(ora_done) == set(range(len(transfers)))
@@ -100,7 +138,7 @@ def test_incremental_matches_global_oracle(workload):
             f"transfer {idx}: completion {t_inc} vs oracle {t_ora}"
         )
 
-    # Rate vectors sampled after each admission match the oracle exactly
+    # Rate vectors sampled after each step match the oracle exactly
     # for every flow alive in both modes.  Membership may differ only for
     # flows within a wake tick of completion (a completion on one side of
     # the sampling instant, an epsilon away on the other).

@@ -26,8 +26,9 @@ compare function per benchmark:
   the invariant keys are still enforced.
 
 Any gate may also list ``exact`` keys: values that must equal the
-baseline exactly (the sweep's per-point digests of fault-free results —
-a refactor that moves any simulated outcome fails here, however small).
+baseline exactly (the sweep's per-point digests of fault-free results,
+simperf's incremental re-rate counters — a refactor that moves any
+simulated outcome or re-rate fails here, however small).
 
 Documents whose ``benchmark`` field has no registry entry fall back to
 the figure gate: every OSU-IB improvement factor must match the
@@ -82,10 +83,14 @@ class Gate:
 #: ``benchmark`` field -> trend gate.  Adding a benchmark to the trend
 #: check is one table entry here plus a committed baseline document.
 GATES: dict[str, Gate] = {
+    # The incremental mode's re-rate counters are deterministic: a change
+    # to the flow network that moves any of them re-rates different flows
+    # or at different times, so it fails however fast it is.
     "simperf": Gate(
         kind="min_ratios",
         keys=("rerate_work_reduction", "event_reduction"),
-        baseline_keys=("rerate_work_reduction", "event_reduction"),
+        exact=("rerate_counters",),
+        baseline_keys=("rerate_work_reduction", "event_reduction", "rerate_counters"),
     ),
     # Chaos slowdowns sit around 1.5-2x and shift with any
     # shuffle-timing change; only a clear regression fails.
