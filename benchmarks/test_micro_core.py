@@ -2,7 +2,8 @@
 
 These quantify the building blocks the figure benchmarks compose:
 merge throughput, packetizer throughput, cache operation rate, DES event
-rate, and flow re-rating cost — useful when profiling model changes.
+rate (positive timeouts and zero-delay hand-offs), and flow re-rating
+cost — useful when profiling model changes.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from repro.core.merge import KWayMerger
 from repro.core.packets import FixedPairsPacketizer, SizeAwarePacketizer
 from repro.core.virtualmerge import VirtualMerger
 from repro.network.flows import FlowNetwork, Link
-from repro.sim import Simulator
+from repro.sim import Simulator, Store
 from repro.workloads import TERASORT_RECORDS
 
 
@@ -99,6 +100,40 @@ def test_des_event_rate(benchmark):
 
     events = benchmark(run)
     assert events >= 20_000
+
+
+def test_des_zero_delay_handoff_rate(benchmark):
+    """Kernel throughput on zero-delay hand-offs, which dominate the
+    simulated jobs: a Store put/get ping-pong plus a ``succeed`` chain,
+    all at one simulated instant (record-only)."""
+
+    def run():
+        sim = Simulator()
+        ping, pong = Store(sim), Store(sim)
+
+        def server(n):
+            for _ in range(n):
+                item = yield ping.get()
+                pong.put(item)
+
+        def client(n):
+            for i in range(n):
+                ping.put(i)
+                yield pong.get()
+
+        def chain(n):
+            for i in range(n):
+                yield sim.event().succeed(i)
+
+        sim.process(server(5000))
+        sim.process(client(5000))
+        sim.process(chain(10_000))
+        sim.run()
+        assert sim.now == 0.0
+        return sim.event_count
+
+    events = benchmark(run)
+    assert events >= 30_000
 
 
 def test_flow_network_rerate_rate(benchmark):

@@ -267,34 +267,25 @@ class Store:
     def _insert(self, item: Any) -> None:
         self.items.append(item)
 
-    def _take(self, getter: Event) -> tuple[bool, Any]:
-        """Return (matched, item) for the next get."""
-        if self.items:
-            return True, self.items.popleft()
-        return False, None
+    def _take(self) -> Any:
+        """Remove and return the next item (``items`` is non-empty)."""
+        return self.items.popleft()
 
     def _settle(self) -> None:
+        # Getters never skip here, so each is served in FIFO order while
+        # items last; FilterStore overrides this with a scanning loop.
+        puts, gets = self._puts, self._gets
         progress = True
         while progress:
             progress = False
-            while self._puts and len(self.items) < self.capacity:
-                evt, item = self._puts.popleft()
+            while puts and len(self.items) < self.capacity:
+                evt, item = puts.popleft()
                 self._insert(item)
                 evt.succeed(item, priority=URGENT)
                 progress = True
-            # Scan getters; FilterStore may skip some.
-            pending: deque[Event] = deque()
-            while self._gets:
-                getter = self._gets.popleft()
-                matched, item = self._take(getter)
-                if matched:
-                    getter.succeed(item, priority=URGENT)
-                    progress = True
-                else:
-                    pending.append(getter)
-            self._gets = pending
-            if not self.items and not self._puts:
-                break
+            while gets and self.items:
+                gets.popleft().succeed(self._take(), priority=URGENT)
+                progress = True
 
 
 class PriorityStore(Store):
@@ -314,10 +305,8 @@ class PriorityStore(Store):
     def _insert(self, item: Any) -> None:
         heapq.heappush(self.items, (item, next(self._seq)))
 
-    def _take(self, getter: Event) -> tuple[bool, Any]:
-        if self.items:
-            return True, heapq.heappop(self.items)[0]
-        return False, None
+    def _take(self) -> Any:
+        return heapq.heappop(self.items)[0]
 
     def __len__(self) -> int:
         return len(self.items)
@@ -351,10 +340,26 @@ class FilterStore(Store):
     def _insert(self, item: Any) -> None:
         self.items.append(item)
 
-    def _take(self, getter: Event) -> tuple[bool, Any]:
-        predicate = getattr(getter, "_filter", None)
-        for i, item in enumerate(self.items):
-            if predicate is None or predicate(item):
-                del self.items[i]
-                return True, item
-        return False, None
+    def _settle(self) -> None:
+        progress = True
+        while progress:
+            progress = False
+            while self._puts and len(self.items) < self.capacity:
+                evt, item = self._puts.popleft()
+                self._insert(item)
+                evt.succeed(item, priority=URGENT)
+                progress = True
+            # Scan getters; a getter whose predicate matches nothing waits.
+            pending: deque[_FilterGet] = deque()
+            while self._gets:
+                getter: _FilterGet = self._gets.popleft()  # type: ignore[assignment]
+                predicate = getter._filter
+                for i, item in enumerate(self.items):
+                    if predicate is None or predicate(item):
+                        del self.items[i]
+                        getter.succeed(item, priority=URGENT)
+                        progress = True
+                        break
+                else:
+                    pending.append(getter)
+            self._gets = pending  # type: ignore[assignment]

@@ -14,8 +14,9 @@ instead of convoying behind whole-file operations.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Generator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.sim.core import Event, Simulator
@@ -72,15 +73,12 @@ def disk_by_name(name: str) -> DiskSpec:
     return spec
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class _DiskRequest:
-    # Only ``priority`` participates in ordering; PriorityStore adds a FIFO
-    # tiebreak for equal priorities.
-    priority: float
-    stream_id: str = field(default="", compare=False)
-    nbytes: float = field(default=0.0, compare=False)
-    kind: str = field(default="read", compare=False)  # "read" | "write"
-    done: Event | None = field(default=None, compare=False)
+    stream_id: str
+    nbytes: float
+    kind: str  # "read" | "write"
+    done: Event
 
 
 class DiskDevice:
@@ -90,7 +88,10 @@ class DiskDevice:
         self.sim = sim
         self.spec = spec
         self.name = name or spec.name
+        # Items are ``(priority, submission number, request)``: the heap
+        # orders by priority, then submission, comparing only numbers.
         self._queue: PriorityStore = PriorityStore(sim, name=f"{self.name}.q")
+        self._submitted = itertools.count()
         self._last_stream: str | None = None
         self.utilization = UtilizationTracker(sim, self.name)
         self.bytes_read = 0.0
@@ -115,10 +116,8 @@ class DiskDevice:
         if nbytes < 0:
             raise ValueError(f"negative request size {nbytes}")
         done = Event(self.sim)
-        req = _DiskRequest(
-            priority=priority, stream_id=stream_id, nbytes=nbytes, kind=kind, done=done
-        )
-        self._queue.put(req)
+        req = _DiskRequest(stream_id, nbytes, kind, done)
+        self._queue.put((priority, next(self._submitted), req))
         return done
 
     def read(self, nbytes: float, stream_id: str, priority: float = 0.0) -> Event:
@@ -159,7 +158,7 @@ class DiskDevice:
 
     def _server(self) -> Generator[Event, Any, None]:
         while True:
-            req: _DiskRequest = yield self._queue.get()
+            _prio, _n, req = yield self._queue.get()
             self.utilization.acquire()
             yield self.sim.timeout(self._service_time(req))
             self.utilization.release()
@@ -168,5 +167,4 @@ class DiskDevice:
                 self.bytes_read += req.nbytes
             else:
                 self.bytes_written += req.nbytes
-            assert req.done is not None
             req.done.succeed(req.nbytes)

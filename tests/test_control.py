@@ -350,7 +350,7 @@ def test_expired_box_is_not_counted_as_cleared():
     c = make_consumer()
     c._fetch_backoff("node01")
     c._fetch_backoff("node01")
-    c.ctx.sim._now = c._penalty_until["node01"] + 1.0  # sentence served
+    c.ctx.sim.now = c._penalty_until["node01"] + 1.0  # sentence served
     c._note_fetch_success("node01")
     assert c.ctx.counters.get("shuffle.retry.penalty_cleared") == 0
 

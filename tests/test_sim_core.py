@@ -37,6 +37,19 @@ def test_timeout_negative_delay_rejected():
         sim.timeout(-1)
 
 
+def test_timeout_nan_delay_rejected():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.timeout(float("nan"))
+    # The calendar was left alone, so later timeouts still run in order.
+    order = []
+    for d in (1.0, 0.5):
+        sim.timeout(d).add_callback(lambda e, d=d: order.append(d))
+    sim.run()
+    assert order == [0.5, 1.0]
+    assert sim.queue_size == 0
+
+
 def test_timeout_value_passed_to_process():
     sim = Simulator()
     got = []
@@ -61,6 +74,23 @@ def test_run_until_past_time_rejected():
     sim = Simulator(start=10.0)
     with pytest.raises(ValueError):
         sim.run(until=5.0)
+
+
+def test_run_until_nan_rejected():
+    sim = Simulator()
+    sim.timeout(3.0)
+    with pytest.raises(ValueError):
+        sim.run(until=float("nan"))
+    assert sim.now == 0.0 and sim.event_count == 0
+
+
+def test_step_on_empty_calendar_is_a_noop():
+    sim = Simulator(start=2.0)
+    sim.step()
+    assert sim.now == 2.0 and sim.event_count == 0
+    sim.timeout(1.0).cancel()  # only a cancelled entry left
+    sim.step()
+    assert sim.now == 2.0 and sim.event_count == 0 and sim.queue_size == 0
 
 
 def test_run_until_event_returns_value():

@@ -1,6 +1,10 @@
 """Unit tests for Resource, PriorityResource, Container, and the Stores."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     Container,
@@ -11,7 +15,7 @@ from repro.sim import (
     Simulator,
     Store,
 )
-from repro.sim.core import SimulationError
+from repro.sim.core import URGENT, SimulationError
 
 
 # ---------------------------------------------------------------------------
@@ -319,3 +323,79 @@ def test_filter_store_waits_for_matching_item():
     sim.process(producer(sim, st))
     sim.run()
     assert out == [(3, "wanted")]
+
+
+class _ScanningSettle:
+    """The earlier ``Store._settle``: every pass rebuilt the getter deque,
+    asking each getter in turn whether an item matched."""
+
+    def _settle(self):
+        progress = True
+        while progress:
+            progress = False
+            while self._puts and len(self.items) < self.capacity:
+                evt, item = self._puts.popleft()
+                self._insert(item)
+                evt.succeed(item, priority=URGENT)
+                progress = True
+            pending = deque()
+            while self._gets:
+                getter = self._gets.popleft()
+                if self.items:  # a Store getter matches whenever items exist
+                    getter.succeed(self._take(), priority=URGENT)
+                    progress = True
+                else:
+                    pending.append(getter)
+            self._gets = pending
+            if not self.items and not self._puts:
+                break
+
+
+class _ScanningStore(_ScanningSettle, Store):
+    pass
+
+
+class _ScanningPriorityStore(_ScanningSettle, PriorityStore):
+    pass
+
+
+def _store_trace(cls, capacity, scripts):
+    sim = Simulator()
+    store = cls(sim, capacity=capacity)
+    log = []
+
+    def proc(pid, script):
+        for step, (op, arg) in enumerate(script):
+            if op == "put":
+                evt = store.put((arg, f"{pid}.{step}"))
+            elif op == "get":
+                evt = store.get()
+            else:
+                evt = sim.timeout(arg * 0.5)
+            evt.add_callback(lambda e, op=op: log.append((sim.now, op, e.value)))
+            if op != "put" or arg % 2:  # some puts are fire-and-forget
+                yield evt
+
+    for pid, script in enumerate(scripts):
+        sim.process(proc(pid, script))
+    sim.run()
+    return log, sim.event_count, list(store.items)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.sampled_from([1, 2, 3, float("inf")]),
+    scripts=st.lists(
+        st.lists(
+            st.tuples(st.sampled_from(["put", "get", "wait"]), st.integers(0, 3)),
+            max_size=8,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_store_fifo_settle_matches_scanning_settle(capacity, scripts):
+    for fast, scanning in ((Store, _ScanningStore), (PriorityStore, _ScanningPriorityStore)):
+        assert _store_trace(fast, capacity, scripts) == _store_trace(
+            scanning, capacity, scripts
+        )

@@ -102,6 +102,20 @@ def test_priority_orders_queue():
     assert order == ["high", "low"]
 
 
+def test_equal_priorities_are_served_in_submission_order():
+    sim = Simulator()
+    disk = DiskDevice(sim, HDD_160GB)
+    order = []
+    plan = [("busy", 0), ("a", 2), ("b", 1), ("c", 2), ("d", 1), ("e", 2), ("f", 0.5)]
+    done = []
+    for name, prio in plan:
+        evt = disk.read(1 * MB, name, priority=prio)
+        evt.add_callback(lambda e, name=name: order.append(name))
+        done.append(evt)
+    sim.run(sim.all_of(done))  # all seven are queued before the server starts
+    assert order == ["busy", "f", "b", "d", "a", "c", "e"]
+
+
 def test_disk_accounting():
     sim = Simulator()
     disk = DiskDevice(sim, HDD_160GB)
