@@ -1,7 +1,8 @@
 """Micro-benchmarks of the core data structures and the DES kernel.
 
 These quantify the building blocks the figure benchmarks compose:
-merge throughput, packetizer throughput, cache operation rate, DES event
+merge throughput (one all-eof drain, and the reducer's packetized refill
+loop), packetizer throughput, cache operation rate, DES event
 rate (positive timeouts and zero-delay hand-offs), and flow re-rating
 cost — useful when profiling model changes.
 """
@@ -9,7 +10,7 @@ cost — useful when profiling model changes.
 import numpy as np
 
 from repro.core.cache import PrefetchCache
-from repro.core.merge import KWayMerger
+from repro.core.merge import DataToReduceQueue, KWayMerger
 from repro.core.packets import FixedPairsPacketizer, SizeAwarePacketizer
 from repro.core.virtualmerge import VirtualMerger
 from repro.network.flows import FlowNetwork, Link
@@ -38,6 +39,42 @@ def test_kway_merge_throughput(benchmark):
         out = m.drain_ready()
         assert len(out) == 16 * 500
         return out
+
+    benchmark(merge)
+
+
+def test_kway_refill_throughput(benchmark):
+    """The reducer's refill protocol: 16 runs fed in 50-record packets,
+    drained into a DataToReduceQueue in batches capped at 256 records,
+    every starving run refilled with its next packet (record-only)."""
+    runs = _sorted_runs(16, 500)
+    packets = {
+        rid: [recs[i : i + 50] for i in range(0, len(recs), 50)]
+        for rid, recs in runs.items()
+    }
+
+    def merge():
+        m, q = KWayMerger(), DataToReduceQueue()
+        fed = dict.fromkeys(packets, 0)
+
+        def refill(rid):
+            i = fed[rid]
+            fed[rid] = i + 1
+            m.feed(rid, packets[rid][i], eof=i + 1 == len(packets[rid]))
+
+        for rid in packets:
+            m.add_run(rid)
+            refill(rid)
+        refills = 0
+        while not m.exhausted:
+            m.drain_ready(q, max_records=256)
+            q.drain()
+            for rid in m.starving():
+                refill(rid)
+                refills += 1
+        assert q.total_enqueued == 16 * 500
+        assert refills == 16 * (10 - 1)
+        return refills
 
     benchmark(merge)
 

@@ -59,7 +59,10 @@ def _serialized_len(obj: Any) -> int:
 def record_size(record: Record) -> int:
     """Serialized size of a record: key bytes + value bytes + 8-byte lengths."""
     key, value = record
-    return _serialized_len(key) + _serialized_len(value) + 8
+    try:
+        return len(key) + len(value) + 8
+    except TypeError:
+        return _serialized_len(key) + _serialized_len(value) + 8
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any
 
 from repro.core.merge import DataToReduceQueue
@@ -161,7 +162,7 @@ class LocalJobRunner:
 
     def _reduce_records(self, stream: list[Record]) -> list[Record]:
         out: list[Record] = []
-        for key, group in itertools.groupby(stream, key=lambda r: r[0]):
+        for key, group in itertools.groupby(stream, key=itemgetter(0)):
             values = [v for _k, v in group]
             out.extend(self.reducer(key, values))
         return out

@@ -9,11 +9,11 @@ output, partitioned per reducer with each partition internally sorted.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
-from typing import Any
-
 import itertools
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Any
 
 from repro.core.merge import merge_sorted_runs
 from repro.core.packets import Record, record_size
@@ -31,9 +31,15 @@ class MapOutput:
     map_id: int
     partitions: list[list[Record]]
     spills: int = 0
+    #: reduce_id -> serialized bytes, filled on first use (outputs are final).
+    _bytes: dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def partition_bytes(self, reduce_id: int) -> int:
-        return sum(record_size(r) for r in self.partitions[reduce_id])
+        if reduce_id not in self._bytes:
+            self._bytes[reduce_id] = sum(map(record_size, self.partitions[reduce_id]))
+        return self._bytes[reduce_id]
 
     @property
     def total_records(self) -> int:
@@ -47,17 +53,19 @@ def _sort_and_partition(
     combiner: Combiner | None = None,
 ) -> list[list[Record]]:
     parts: list[list[Record]] = [[] for _ in range(n_reducers)]
+    partition = partitioner.partition
     for rec in buffer:
-        parts[partitioner.partition(rec[0])].append(rec)
+        parts[partition(rec[0])].append(rec)
+    first = itemgetter(0)
     for i, p in enumerate(parts):
-        p.sort(key=lambda r: r[0])
+        p.sort(key=first)
         if combiner is not None and p:
             # The 0.20.2 combiner runs over each sorted spill before it
             # hits disk, shrinking the shuffle volume.
             combined: list[Record] = []
-            for key, group in itertools.groupby(p, key=lambda r: r[0]):
+            for key, group in itertools.groupby(p, key=first):
                 combined.extend(combiner(key, [v for _k, v in group]))
-            combined.sort(key=lambda r: r[0])
+            combined.sort(key=first)
             parts[i] = combined
     return parts
 

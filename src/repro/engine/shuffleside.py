@@ -48,8 +48,11 @@ class SegmentServer:
         self.outputs = outputs
         self.packetizer = packetizer
         self.cache = PrefetchCache(cache_bytes) if cache_bytes > 0 else None
-        #: (map_id, reduce_id) -> iterator of remaining packets
-        self._streams: dict[tuple[int, int], Iterator[list[Record]]] = {}
+        #: (map_id, reduce_id) -> (packet iterator, next packet).  The
+        #: one-packet lookahead lets eof ride the last packet.
+        self._streams: dict[
+            tuple[int, int], tuple[Iterator[list[Record]], list[Record] | None]
+        ] = {}
         self.stats = ShuffleStats()
         if self.cache is not None:
             # MapOutputPrefetcher: cache fresh outputs immediately.
@@ -60,15 +63,17 @@ class SegmentServer:
                         self.cache.insert((map_id, reduce_id), nbytes)
 
     def open(self, map_id: int, reduce_id: int) -> None:
-        segment = self.outputs[map_id].partitions[reduce_id]
-        self._streams[(map_id, reduce_id)] = self.packetizer.packets(segment)
+        packets = self.packetizer.packets(self.outputs[map_id].partitions[reduce_id])
+        self._streams[(map_id, reduce_id)] = (packets, next(packets, None))
 
     def next_packet(self, map_id: int, reduce_id: int) -> tuple[list[Record], bool]:
         """The next packet of a segment and whether the segment is done."""
         key = (map_id, reduce_id)
         if key not in self._streams:
             self.open(map_id, reduce_id)
-        stream = self._streams[key]
+        packets, packet = self._streams.pop(key)
+        if packet is None:
+            return [], True  # an empty segment: nothing to fetch or cache
         if self.cache is not None:
             nbytes = self.outputs[map_id].partition_bytes(reduce_id)
             if self.cache.hit(key, nbytes):
@@ -77,26 +82,15 @@ class SegmentServer:
                 self.stats.cache_misses += 1
                 # Disk fetch + demand-promoted re-insert (§III-B.3).
                 self.cache.insert(key, nbytes)
-        packet = next(stream, None)
-        if packet is None:
-            del self._streams[key]
-            if self.cache is not None:
-                self.cache.evict(key)  # sole consumer is done with it
-            return [], True
         self.stats.packets += 1
         self.stats.records += len(packet)
-        self.stats.bytes += sum(record_size(r) for r in packet)
-        # Peek whether the stream is exhausted so eof rides the last packet.
-        sentinel = next(stream, None)
-        if sentinel is not None:
-            # push back by chaining.
-            import itertools
-
-            self._streams[key] = itertools.chain([sentinel], stream)
+        self.stats.bytes += sum(map(record_size, packet))
+        lookahead = next(packets, None)
+        if lookahead is not None:
+            self._streams[key] = (packets, lookahead)
             return packet, False
-        del self._streams[key]
         if self.cache is not None:
-            self.cache.evict(key)
+            self.cache.evict(key)  # sole consumer is done with it
         return packet, True
 
 
@@ -128,13 +122,10 @@ def shuffle_and_merge(
         if max_queue_records < 1:
             raise ValueError("max_queue_records must be >= 1")
     merger = KWayMerger()
-    done: set[int] = set()
     for map_id in map_ids:
         merger.add_run(map_id)
         packet, eof = server.next_packet(map_id, reduce_id)
         merger.feed(map_id, packet, eof=eof)
-        if eof:
-            done.add(map_id)
     out: list[Record] = []
     collect = consume is None
     while not merger.exhausted:

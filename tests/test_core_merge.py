@@ -66,6 +66,23 @@ def test_unsorted_across_packets_rejected():
         m.feed("a", [(2, "y")])
 
 
+def test_rejected_packet_leaves_merger_unchanged():
+    """An unsorted packet is refused whole: nothing of it is buffered or
+    counted, and the run can still be fed and merged to the end."""
+    m = KWayMerger()
+    m.add_run("a")
+    m.add_run("b")
+    m.feed("a", [(1, "x")], eof=True)
+    with pytest.raises(MergeError, match="not sorted"):
+        m.feed("b", [(2, "y"), (4, "y"), (3, "z")])
+    assert m.records_in == 1 and m.buffered_records == 1
+    assert m.starving() == ["b"] and not m.ready()
+    m.feed("b", [(2, "y")])  # 2 is acceptable again: no key of the packet stuck
+    m.finish_run("b")
+    assert m.drain_ready() == [(1, "x"), (2, "y")]
+    assert m.exhausted
+
+
 def test_pop_before_all_runs_have_data_raises():
     m = KWayMerger()
     m.add_run("a")
