@@ -1,8 +1,9 @@
 """Simulator-throughput benchmark: incremental re-rating vs the oracle.
 
-Runs the fig4a sweep twice — once with the default incremental flow
-network and once with the global water-filling oracle
-(``REPRO_FLOWNET=global``) — and records, per mode, the aggregated
+Runs the fig4a sweep twice — once with the production (incremental) flow
+network and once with the frozen global water-filling oracle
+(``tests/reference_flownet.py``, monkeypatched into
+``repro.network.fabric``) — and records, per mode, the aggregated
 ``net.*`` re-rating counters, ``sim.*`` event-kernel counters, wall-clock
 and events/sec.  The deterministic counters back the hard assertions:
 
@@ -34,10 +35,12 @@ exercising the dense all-to-all shuffle regime.
 import os
 import time
 
+import repro.network.fabric as fabric_mod
 from repro.experiments.figures import fig4a
 from repro.network.flows import FlowNetwork, Link
 from repro.obs.export import write_json_atomic
 from repro.sim.core import Simulator
+from tests.reference_flownet import ReferenceFlowNetwork
 
 #: Relative tolerance for series-time equivalence between modes.  Rates
 #: are bit-identical; only byte-drain accumulation order differs.
@@ -48,19 +51,21 @@ def _simperf_scale() -> float:
     return float(os.environ.get("REPRO_SIMPERF_SCALE", 0.04))
 
 
-def _run_mode(mode: str, scale: float) -> dict:
-    """One fig4a sweep under ``REPRO_FLOWNET=mode``; aggregated counters."""
-    saved = os.environ.get("REPRO_FLOWNET")
-    os.environ["REPRO_FLOWNET"] = mode
-    try:
+def _run_mode(mode: str, scale: float, monkeypatch) -> dict:
+    """One fig4a sweep on the ``incremental`` (production) or ``global``
+    (reference) flow network; aggregated counters.
+
+    The global sweep runs in-process (``workers=1``), so the patched
+    ``Fabric`` is the one every point builds.
+    """
+    with monkeypatch.context() as patch:
+        workers = None
+        if mode == "global":
+            patch.setattr(fabric_mod, "FlowNetwork", ReferenceFlowNetwork)
+            workers = 1
         t0 = time.perf_counter()
-        fig = fig4a(scale=scale)
+        fig = fig4a(scale=scale, workers=workers)
         wall = time.perf_counter() - t0
-    finally:
-        if saved is None:
-            del os.environ["REPRO_FLOWNET"]
-        else:
-            os.environ["REPRO_FLOWNET"] = saved
 
     counters: dict[str, float] = {}
     jobs = 0
@@ -94,16 +99,15 @@ def _waterfill_micro(
 
     ``n_nodes**2`` flows, each crossing one sender uplink and one
     receiver downlink — the shuffle's worst-case single component.  With
-    ``rate_cap`` every flow also carries a private cap link, as
-    ``Transport.send`` gives every transfer; a cap above the links' fair
-    share keeps the component contended (the shared links bottleneck,
-    the caps never bind), the regime the caching OSU-IB job spends its
-    re-rates in.  The numbers are machine-dependent (recorded for the
+    ``rate_cap`` every flow also carries a rate cap, as ``Transport.send``
+    gives every transfer; a cap above the links' fair share keeps the
+    component contended (the links bottleneck, the caps never bind), the
+    regime the caching OSU-IB job spends its re-rates in.  The numbers are machine-dependent (recorded for the
     trend series, never asserted or baselined); the per-level arithmetic
     itself is gated by the bit-identity oracle tests.
     """
     sim = Simulator()
-    net = FlowNetwork(sim, incremental=True)
+    net = FlowNetwork(sim)
     up = [Link(f"up{i}", 1e9) for i in range(n_nodes)]
     down = [Link(f"down{i}", 1e9) for i in range(n_nodes)]
     for i in range(n_nodes):
@@ -133,10 +137,10 @@ def _worst_series_delta(a: dict, b: dict) -> float:
     return worst
 
 
-def test_simperf_incremental_vs_oracle():
+def test_simperf_incremental_vs_oracle(monkeypatch):
     scale = _simperf_scale()
-    incr = _run_mode("incremental", scale)
-    glob = _run_mode("global", scale)
+    incr = _run_mode("incremental", scale, monkeypatch)
+    glob = _run_mode("global", scale, monkeypatch)
 
     # Figure outputs unchanged: every series time matches the oracle.
     worst = _worst_series_delta(incr, glob)

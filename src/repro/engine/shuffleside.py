@@ -53,6 +53,8 @@ class SegmentServer:
         self._streams: dict[
             tuple[int, int], tuple[Iterator[list[Record]], list[Record] | None]
         ] = {}
+        #: Segments already served to eof: asked again, they stay done.
+        self._finished: set[tuple[int, int]] = set()
         self.stats = ShuffleStats()
         if self.cache is not None:
             # MapOutputPrefetcher: cache fresh outputs immediately.
@@ -70,9 +72,12 @@ class SegmentServer:
         """The next packet of a segment and whether the segment is done."""
         key = (map_id, reduce_id)
         if key not in self._streams:
+            if key in self._finished:
+                return [], True
             self.open(map_id, reduce_id)
         packets, packet = self._streams.pop(key)
         if packet is None:
+            self._finished.add(key)
             return [], True  # an empty segment: nothing to fetch or cache
         if self.cache is not None:
             nbytes = self.outputs[map_id].partition_bytes(reduce_id)
@@ -91,6 +96,7 @@ class SegmentServer:
             return packet, False
         if self.cache is not None:
             self.cache.evict(key)  # sole consumer is done with it
+        self._finished.add(key)
         return packet, True
 
 

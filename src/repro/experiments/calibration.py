@@ -70,7 +70,6 @@ __all__ = [
     "SSD_SATA",
     "TENGIGE_TOE",
     "measure_paper_claims",
-    "paper_expectations",
 ]
 
 #: The paper's headline claims mapped onto figure series: ``figure ->
@@ -151,39 +150,3 @@ def measure_paper_claims(
             }
         out[name] = claims
     return out
-
-
-def paper_expectations() -> dict[str, dict[str, float]]:
-    """The improvement percentages the paper reports, per experiment.
-
-    Keys are ``figure -> claim``; values are fractional improvements of
-    OSU-IB's job execution time over the named baseline (positive means
-    OSU-IB is faster).  Used by the report generator and the trend tests.
-    """
-    return {
-        "fig4a": {
-            "30GB_1disk_vs_hadoopa": 0.09,
-            "30GB_1disk_vs_ipoib": 0.35,
-            "30GB_1disk_vs_10gige": 0.38,
-            "30GB_2disk_vs_hadoopa": 0.13,
-            "30GB_2disk_vs_ipoib": 0.38,
-            "30GB_2disk_vs_10gige": 0.43,
-            "40GB_2disk_vs_hadoopa": 0.17,
-            "40GB_2disk_vs_ipoib": 0.48,
-            "40GB_2disk_vs_10gige": 0.51,
-        },
-        "fig4b": {
-            "100GB_1disk_vs_hadoopa": 0.21,
-            "100GB_1disk_vs_ipoib": 0.32,
-            "100GB_2disk_vs_hadoopa": 0.31,
-            "100GB_2disk_vs_ipoib": 0.39,
-        },
-        "fig5": {
-            "100GB_12nodes_vs_hadoopa": 0.07,
-            "100GB_12nodes_vs_ipoib": 0.41,
-        },
-        "fig6a": {"20GB_vs_hadoopa": 0.38, "20GB_vs_ipoib": 0.26},
-        "fig6b": {"40GB_vs_hadoopa": 0.32, "40GB_vs_ipoib": 0.27},
-        "fig7": {"15GB_vs_hadoopa": 0.22, "15GB_vs_ipoib": 0.46},
-        "fig8": {"20GB_caching_benefit": 0.1839},
-    }

@@ -40,16 +40,10 @@ class Fabric:
     its :class:`FlowNetwork` so cross-traffic contends realistically.
     """
 
-    def __init__(
-        self, sim: Simulator, spec: TransportSpec, incremental: bool | None = None
-    ):
+    def __init__(self, sim: Simulator, spec: TransportSpec):
         self.sim = sim
         self.spec = spec
-        #: ``incremental`` selects the flow network's re-rating mode:
-        #: component-scoped (default) or the global water-filling oracle
-        #: (see :mod:`repro.network.flows`); ``None`` defers to the
-        #: ``REPRO_FLOWNET`` environment variable.
-        self.flows = FlowNetwork(sim, incremental=incremental)
+        self.flows = FlowNetwork(sim)
         self.transport = Transport(sim, self.flows, spec)
         self.interfaces: dict[str, NetworkInterface] = {}
 

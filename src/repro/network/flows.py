@@ -11,17 +11,17 @@ recomputed with the classic water-filling algorithm:
 3. pinned bandwidth is subtracted and the process repeats.
 
 A per-flow rate cap (the transport's effective single-stream bandwidth) is
-expressed as a private single-flow link, which folds it into the same
-algorithm; the water-fill only keeps those links out of its per-level
-scan, since a private link's share is just its capacity.
+a number on the flow.  It acts as a single-flow link would, with share
+``cap / 1``, so the water-fill keeps the caps in a sorted list next to its
+per-level link scan.
 
-Incremental re-rating
----------------------
+Re-rating
+---------
 Max-min fairness decomposes over connected components of the
 flow/link-sharing graph: fixing a flow during water-filling only ever
 drains residual capacity on links that flow crosses, so the sequence of
 (bottleneck, fair-share) decisions inside one component is independent of
-every other component.  The default ("incremental") mode exploits that:
+every other component.  The network exploits that:
 
 * **component-scoped re-rating** — a flow arrival or departure re-rates
   only the connected component of flows that share a link (transitively)
@@ -34,8 +34,8 @@ every other component.  The default ("incremental") mode exploits that:
   closed-form completion via :func:`serial_transfer_time`, with no
   water-filling at all.
 * **cap-pinned fast path** — when every flow on the touched links carries
-  a private rate-cap link and each link's sum of caps stays below its
-  capacity (with margin), no shared link can ever become the bottleneck:
+  a rate cap and each link's sum of caps stays below its capacity (with
+  margin), no link can ever become the bottleneck:
   water-filling provably pins every flow at exactly its cap (the
   ``cap/1`` division is bit-exact).  An arrival or departure in that
   regime changes no other flow's rate, so it skips the component scan
@@ -48,12 +48,11 @@ every other component.  The default ("incremental") mode exploits that:
   re-rating moves the next completion earlier.  Superseded wake-ups no
   longer transit the event heap as dead events.
 
-The pre-existing global algorithm is retained verbatim as the reference
-oracle (``FlowNetwork(sim, incremental=False)``, or environment
-``REPRO_FLOWNET=global``); property tests assert both modes produce
-identical rate vectors.  Re-rate work, touched flows, and dead wake-ups
-are counted and exposed via :meth:`FlowNetwork.metrics_snapshot` for
-registration under ``net.*`` in a job's ``MetricsRegistry``.
+The tests hold a frozen global water-filling network (every change drains
+and re-rates every flow) as the reference and require identical rate
+vectors.  Re-rate work, touched flows, and dead wake-ups are counted and
+exposed via :meth:`FlowNetwork.metrics_snapshot` for registration under
+``net.*`` in a job's ``MetricsRegistry``.
 
 The module is deliberately independent of nodes/NICs — :mod:`repro.network.
 fabric` maps topology onto link sets.
@@ -63,7 +62,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
+import math
 from operator import attrgetter
 
 from repro.sim.core import Event, Simulator, Timeout
@@ -97,17 +96,16 @@ class Link:
     __slots__ = ("name", "capacity", "flows", "bytes_carried", "transparent")
 
     def __init__(self, name: str, capacity: float):
-        if capacity <= 0:
-            raise ValueError(f"link {name!r}: capacity must be positive")
+        if not capacity > 0:
+            raise ValueError(f"link {name!r}: capacity must be positive, got {capacity}")
         self.name = name
         self.capacity = float(capacity)
         # Insertion-ordered (dict-as-set): deterministic float accumulation.
         self.flows: dict["Flow", None] = {}
-        #: Bytes drained across this link (private rate-cap links are not
-        #: credited: only the flow that owns them ever crosses them).
+        #: Bytes drained across this link.
         self.bytes_carried = 0.0
         #: Cached :meth:`FlowNetwork._transparent` verdict; ``None`` once
-        #: the population, this capacity or a crossing flow's cap changes.
+        #: the population or this capacity changes.
         self.transparent: bool | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -128,25 +126,22 @@ class Flow:
         "advanced_at",
         "eta_gen",
         "net",
-        "cap_link",
-        "shared",
+        "cap",
     )
 
     def __init__(
         self,
         fid: int,
-        shared: tuple[Link, ...],
+        links: tuple[Link, ...],
         nbytes: float,
         event: Event,
         now: float,
-        cap_link: Link | None = None,
+        cap: float | None = None,
     ):
         self.id = fid
-        #: Every link the flow crosses: ``shared`` plus the cap link, last.
-        self.links = shared if cap_link is None else shared + (cap_link,)
-        #: The links the flow may share with others (all but the cap link):
-        #: what the water-fill scans and the component walk expands.
-        self.shared = shared
+        self.links = links
+        #: The flow's own throughput bound (bytes/second), or ``None``.
+        self.cap = cap
         self.remaining = float(nbytes)
         self.size = float(nbytes)
         self._rate = 0.0
@@ -160,9 +155,6 @@ class Flow:
         self.eta_gen = 0
         #: Owning network, set at admission (lazy rate materialisation).
         self.net: "FlowNetwork | None" = None
-        #: The private rate-cap link, when the transfer carries one
-        #: (lets the cap-pinned fast path reason about caps statically).
-        self.cap_link = cap_link
 
     @property
     def rate(self) -> float:
@@ -171,44 +163,28 @@ class Flow:
         Re-rating is batched per simulation timestamp (see
         :meth:`FlowNetwork._flush`); reading a rate while a batch is
         pending forces the flush first, so callers always observe the
-        same post-re-rate values the unbatched oracle would produce.
+        same post-re-rate values an unbatched re-rate would produce.
         """
         net = self.net
         if net is not None and net._dirty_links:
             net._flush()
         return self._rate
 
-    @rate.setter
-    def rate(self, value: float) -> None:
-        self._rate = value
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Flow {self.id} rem={self.remaining:.0f}B rate={self._rate/1e6:.1f}MB/s>"
 
 
 class FlowNetwork:
-    """The set of active flows plus the re-rating machinery.
+    """The set of active flows plus the re-rating machinery."""
 
-    ``incremental`` selects component-scoped re-rating (the default);
-    ``False`` runs the original global water-filling on every change (the
-    equivalence oracle).  When ``None``, the ``REPRO_FLOWNET`` environment
-    variable picks the mode (``global`` selects the oracle).
-    """
-
-    def __init__(self, sim: Simulator, incremental: bool | None = None):
-        if incremental is None:
-            incremental = os.environ.get("REPRO_FLOWNET", "incremental").lower() != "global"
-        self.incremental = bool(incremental)
+    def __init__(self, sim: Simulator):
         self.sim = sim
         self._flows: dict[Flow, None] = {}  # insertion-ordered set
         self._fids = itertools.count()
-        self._last_update = sim.now  # oracle mode: global progress timestamp
-        #: oracle mode: monotonically increasing; invalidates stale wakeups
-        self._generation = 0
         self.total_bytes = 0.0
         self.flow_count = 0
-        # Incremental mode: lazily-invalidated (eta, flow_id, gen, flow)
-        # min-heap plus the single live wake timer.
+        # Lazily-invalidated (eta, flow_id, gen, flow) min-heap plus the
+        # single live wake timer.
         self._eta_heap: list[tuple[float, int, int, Flow]] = []
         self._wake: Timeout | None = None
         self._wake_at = float("inf")
@@ -240,34 +216,29 @@ class FlowNetwork:
 
         ``rate_cap`` bounds the flow's own throughput (single-stream
         transport limit).  The returned event fires when the last byte has
-        drained; the value is the flow's elapsed transfer time.
+        drained; the value is the flow's elapsed transfer time.  A flow
+        needs a link or a cap to bound its rate.
         """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError(f"transfer size must be finite and >= 0, got {nbytes}")
+        if rate_cap is not None:
+            if not rate_cap > 0:
+                raise ValueError(f"rate_cap must be positive, got {rate_cap}")
+            rate_cap = float(rate_cap)
+        links = tuple(links)
+        if not links and rate_cap is None:
+            raise ValueError("a transfer needs at least one link or a rate_cap")
         event = Event(self.sim)
         if nbytes == 0:
             event.succeed(0.0)
             return event
-        fid = next(self._fids)
-        cap_link: Link | None = None
-        if rate_cap is not None:
-            if rate_cap <= 0:
-                raise ValueError(f"rate_cap must be positive, got {rate_cap}")
-            cap_link = Link(f"cap#{fid}", rate_cap)
-        flow = Flow(fid, tuple(links), nbytes, event, self.sim.now, cap_link)
-
-        if not self.incremental:
-            self._advance_progress()
-            self._admit(flow)
-            self._rerate()
-            return event
-
+        flow = Flow(next(self._fids), links, nbytes, event, self.sim.now, rate_cap)
         flow.net = self
         self._admit(flow)
         if self._cap_pinned(flow):
-            # Cap-pinned fast path: no shared link can bottleneck, so the
-            # newcomer is pinned at exactly its cap and nobody else moves.
-            flow._rate = cap_link.capacity  # type: ignore[union-attr]
+            # Cap-pinned fast path: no link can bottleneck, so the newcomer
+            # is pinned at exactly its cap and nobody else moves.
+            flow._rate = rate_cap  # type: ignore[assignment]
             self._stats["fastpath_admits"] += 1
             self._stats["rerate_touched_flows"] += 1
             self._push_eta(flow)
@@ -280,7 +251,7 @@ class FlowNetwork:
         # are seeded: a link transparent *with* the newcomer admitted was
         # transparent before it too, so it carries no influence in either
         # equilibrium and its other flows provably keep their rates.
-        dirty = [link for link in flow.shared if not self._transparent(link)]
+        dirty = [link for link in flow.links if not self._transparent(link)]
         self._mark_dirty(dirty if dirty else flow.links)
         return event
 
@@ -289,26 +260,16 @@ class FlowNetwork:
 
         The degradation-fault actuator (:class:`repro.faults.LinkDegrade`):
         bandwidth is cut or restored without the link flapping, so
-        in-flight flows neither fail nor restart — they just re-rate.  In
-        incremental mode the link seeds its own dirty component; seed
-        links are traversed unconditionally by ``_flush``, so even a
-        link that was transparent at the old capacity re-rates its flows.
+        in-flight flows neither fail nor restart — they just re-rate.  The
+        link seeds its own dirty component; seed links are traversed
+        unconditionally by ``_flush``, so even a link that was transparent
+        at the old capacity re-rates its flows.
         """
-        if capacity <= 0:
-            raise ValueError(f"link {link.name!r}: capacity must be positive")
+        if not capacity > 0:
+            raise ValueError(f"link {link.name!r}: capacity must be positive, got {capacity}")
         if capacity == link.capacity:
             return
-        # Transparency reads this capacity (an empty link is transparent
-        # at any capacity), and -- should ``link`` be a cap link -- its
-        # owner's cap, on every link that owner crosses.
-        for flow in link.flows:
-            for other in flow.links:
-                other.transparent = None
-        if not self.incremental:
-            self._advance_progress()
-            link.capacity = float(capacity)
-            self._rerate()
-            return
+        link.transparent = None
         # Rates drained at flush time use each flow's stored _rate, so
         # mutating the capacity now (before the deferred flush advances
         # progress) still bills the pre-change interval at the old rates.
@@ -326,13 +287,12 @@ class FlowNetwork:
         out["touched_per_rerate"] = (
             self._stats["rerate_touched_flows"] / rerates if rerates else 0.0
         )
-        out["mode_incremental"] = 1.0 if self.incremental else 0.0
         out["flows_started"] = float(self.flow_count)
         out["active_flows"] = float(len(self._flows))
         out["bytes_total"] = float(self.total_bytes)
         return out
 
-    # -- shared internals ----------------------------------------------------
+    # -- internals -----------------------------------------------------------
 
     def _admit(self, flow: Flow) -> None:
         self._flows[flow] = None
@@ -359,18 +319,17 @@ class FlowNetwork:
         no link repeated within a route), returned in ``flows`` order.
 
         Restricted to one component this is the exact arithmetic a global
-        pass does for that component's flows.  Links are numbered in
-        first-seen order (each flow's links in turn, its cap link last);
-        each level picks the smallest ``residual / unfixed`` share, ties
-        to the lowest number, pins the bottleneck's unfixed flows at it
-        (all at one share, so their order is immaterial) and drains it
-        from every link they cross.  Only shared links are scanned, over
-        flat index arrays.  A private cap link's share is the bit-exact
-        ``cap / 1`` until its owner is pinned, so the caps wait in a list
-        sorted by ``(cap, flow index)`` whose head meets the scan's winner
-        under the same tie-break (flow ``i``'s cap is numbered after its
-        shared links, before any first seen by a later flow): every
-        bottleneck, residual and rate is that of a scan over all links.
+        pass does for that component's flows.  Constraints are numbered in
+        first-seen order (each flow's links in turn, then its cap); each
+        level picks the smallest ``residual / unfixed`` share, ties to the
+        lowest number, pins the bottleneck's unfixed flows at it (all at
+        one share, so their order is immaterial) and drains it from every
+        link they cross.  Links are scanned over flat index arrays.  A
+        cap's share is the bit-exact ``cap / 1`` until its flow is pinned,
+        so the caps wait in a list sorted by ``(cap, flow index)`` whose
+        head meets the scan's winner under the same tie-break (flow
+        ``i``'s cap is numbered after its links, before any first seen by
+        a later flow).
         """
         eps = _EPSILON_RATE
         link_index: dict[Link, int] = {}
@@ -379,7 +338,7 @@ class FlowNetwork:
         first: list[int] = []  # the flow each link was first seen on
         caps: list[tuple[float, int]] = []  # (cap, flow index)
         for fi, flow in enumerate(flows):
-            for link in flow.shared:
+            for link in flow.links:
                 li = link_index.get(link)
                 if li is None:
                     link_index[link] = len(residual)
@@ -388,8 +347,8 @@ class FlowNetwork:
                     first.append(fi)
                 else:
                     members[li].append(fi)
-            if flow.cap_link is not None:
-                caps.append((flow.cap_link.capacity, fi))
+            if flow.cap is not None:
+                caps.append((flow.cap, fi))
         caps.sort()
         unfixed_count = [len(m) for m in members]
 
@@ -401,8 +360,7 @@ class FlowNetwork:
         rates = [0.0] * remaining
         inf = float("inf")
         while remaining:
-            # Smallest fair share across shared links still carrying
-            # unfixed flows.
+            # Smallest fair share across links still carrying unfixed flows.
             bottleneck = -1
             best_share = inf
             for li in range(n_links):
@@ -437,14 +395,12 @@ class FlowNetwork:
                 fixed[fi] = 1
                 rates[fi] = best_share
                 remaining -= 1
-                for link in flows[fi].shared:
+                for link in flows[fi].links:
                     li = link_index[link]
                     r = residual[li] - best_share
                     residual[li] = r if r > 0.0 else 0.0
                     unfixed_count[li] -= 1
         return rates
-
-    # -- incremental mode ----------------------------------------------------
 
     def _transparent(self, link: Link) -> bool:
         """True when ``link`` can never be a water-filling bottleneck.
@@ -468,11 +424,11 @@ class FlowNetwork:
         if verdict is None:
             total = 0.0
             for peer in link.flows:
-                peer_cap = peer.cap_link
+                peer_cap = peer.cap
                 if peer_cap is None:
                     link.transparent = False
                     return False
-                total += peer_cap.capacity
+                total += peer_cap
             verdict = total <= link.capacity * (1.0 - _CAP_FIT_MARGIN)
             link.transparent = verdict
         return verdict
@@ -481,15 +437,15 @@ class FlowNetwork:
         """True when ``flow``'s arrival/departure provably leaves every
         other rate unchanged (and pins ``flow`` itself at exactly its cap).
 
-        Requires a private cap link plus every shared link transparent:
-        then ``flow`` can only be fixed via its own cap link, at the
-        bit-exact ``cap / 1`` share the global oracle would compute, and
-        no other flow's fixing sequence changes.
+        Requires a cap plus every link transparent: then ``flow`` can only
+        be fixed via its cap, at the bit-exact ``cap / 1`` share a global
+        water-fill would compute, and no other flow's fixing sequence
+        changes.
         """
-        cap_link = flow.cap_link
-        if cap_link is None or cap_link.capacity < _EPSILON_RATE:
+        cap = flow.cap
+        if cap is None or cap < _EPSILON_RATE:
             return False
-        for link in flow.shared:
+        for link in flow.links:
             if not self._transparent(link):
                 return False
         return True
@@ -519,7 +475,7 @@ class FlowNetwork:
 
         The component is every active flow whose rate may change given a
         population change on the dirty links, taken in admission order
-        (the oracle's iteration order).  Dirty links are traversed
+        (a global water-fill's iteration order).  Dirty links are traversed
         unconditionally (their population changed, so their flows' rates
         are in question), but the walk only expands through links that
         could actually carry influence: a transparent link never
@@ -548,7 +504,7 @@ class FlowNetwork:
             for flow in link.flows:
                 if flow not in found:
                     found.add(flow)
-                    for nxt in flow.shared:
+                    for nxt in flow.links:
                         if nxt not in seen_links and not transparent(nxt):
                             pending.append(nxt)
         if found:
@@ -559,9 +515,12 @@ class FlowNetwork:
                 len(link.flows) == 1 for link in component[0].links
             ):
                 # Analytic fast path: an uncontended flow owns every link
-                # it crosses, so its max-min rate is the bottleneck capacity.
-                links = component[0].links
-                rates = [max(min(link.capacity for link in links), _EPSILON_RATE)]
+                # it crosses, so its max-min rate is its tightest bound.
+                flow = component[0]
+                bounds = [link.capacity for link in flow.links]
+                if flow.cap is not None:
+                    bounds.append(flow.cap)
+                rates = [max(min(bounds), _EPSILON_RATE)]
                 stats["fastpath_rerates"] += 1
             else:
                 rates = self._water_fill(component)
@@ -577,7 +536,7 @@ class FlowNetwork:
                     drained = flow._rate * dt
                     if drained:
                         flow.remaining -= drained
-                        for link in flow.shared:
+                        for link in flow.links:
                             link.bytes_carried += drained
                     advanced += 1
                 flow._rate = rate
@@ -605,7 +564,7 @@ class FlowNetwork:
             drained = flow._rate * dt
             if drained:
                 flow.remaining -= drained
-                for link in flow.shared:
+                for link in flow.links:
                     link.bytes_carried += drained
             stats["advanced_flows"] += 1
 
@@ -661,9 +620,9 @@ class FlowNetwork:
             self._stats["dead_wakeups"] += 1
         self._wake = self.sim.timeout(target - self.sim.now)
         self._wake_at = target
-        self._wake.add_callback(self._on_wake_incremental)
+        self._wake.add_callback(self._on_wake)
 
-    def _on_wake_incremental(self, wake: Event) -> None:
+    def _on_wake(self, wake: Event) -> None:
         if wake is not self._wake:  # pragma: no cover - cancel() prevents this
             self._stats["dead_wakeups"] += 1
             return
@@ -717,7 +676,7 @@ class FlowNetwork:
                 self._stats["fastpath_removals"] += 1
             else:
                 seed_links.extend(
-                    link for link in flow.shared if not self._transparent(link)
+                    link for link in flow.links if not self._transparent(link)
                 )
             self._finish(flow)
         if seed_links:
@@ -730,61 +689,6 @@ class FlowNetwork:
             self._mark_dirty(seed_links)
         else:
             self._schedule_wake()
-
-    # -- oracle mode (original global algorithm, kept as the reference) ------
-
-    def _advance_progress(self) -> None:
-        """Drain bytes at current rates for the time since the last change."""
-        dt = self.sim.now - self._last_update
-        self._last_update = self.sim.now
-        if dt <= 0 or not self._flows:
-            return
-        for flow in self._flows:
-            drained = flow.rate * dt
-            flow.remaining -= drained
-            for link in flow.shared:
-                link.bytes_carried += drained
-
-    def _rerate(self) -> None:
-        """Recompute max-min fair rates and schedule the next completion."""
-        self._generation += 1
-        if not self._flows:
-            return
-        self._stats["rerates"] += 1
-        self._stats["rerate_touched_flows"] += len(self._flows)
-        flows = list(self._flows)
-        for flow, rate in zip(flows, self._water_fill(flows)):
-            flow._rate = rate
-
-        # Next completion.
-        soonest = float("inf")
-        for flow in self._flows:
-            if flow.rate > _EPSILON_RATE:
-                eta = flow.remaining / flow.rate
-                soonest = min(soonest, eta)
-        if soonest != float("inf"):
-            generation = self._generation
-            wake = self.sim.timeout(max(_MIN_TICK, soonest))
-            wake.add_callback(lambda _e, g=generation: self._on_wake(g))
-
-    def _on_wake(self, generation: int) -> None:
-        if generation != self._generation:
-            self._stats["dead_wakeups"] += 1
-            return  # superseded by a later re-rating
-        self._stats["wakes"] += 1
-        self._advance_progress()
-        finished = [
-            f
-            for f in self._flows
-            if f.remaining <= max(_EPSILON_BYTES, f.rate * _MIN_TICK)
-        ]
-        if not finished:
-            self._stats["spurious_wakes"] += 1
-            self._rerate()
-            return
-        for flow in finished:
-            self._finish(flow)
-        self._rerate()
 
 
 def serial_transfer_time(nbytes: float, bandwidth: float, latency: float = 0.0) -> float:

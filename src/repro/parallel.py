@@ -26,8 +26,8 @@ order, regardless of ``workers``:
   the property tests in ``tests/test_parallel.py`` and the
   ``benchmarks/test_sweep.py`` fingerprint check enforce this end to
   end;
-* worker processes inherit ``os.environ`` (so ``REPRO_FLOWNET`` and
-  friends behave identically in workers and in-process).
+* worker processes inherit ``os.environ`` (so environment settings
+  behave identically in workers and in-process).
 
 Failure policy: every point runs to completion even when another point
 raises; the failure surfaces afterwards as a :class:`SweepPointError`

@@ -145,6 +145,17 @@ def test_empty_segment_served_as_done():
     assert server.cache.stats.hits == 1 and len(server.cache) == 0
 
 
+def test_finished_segment_stays_done():
+    r1, r2 = (b"k1", b"v1"), (b"k2", b"v2")
+    server = SegmentServer(
+        {0: MapOutput(0, [[r1, r2]])}, SizeAwarePacketizer(1), cache_bytes=1024
+    )
+    calls = [server.next_packet(0, 0) for _ in range(4)]
+    assert calls == [([r1], False), ([r2], True), ([], True), ([], True)]
+    assert server.stats.records == 2 and server.stats.packets == 2
+    assert server.cache.stats.lookups == 2
+
+
 # ---------------------------------------------------------------------------
 # Full-output digests
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.experiments import fig8, improvement
-from repro.experiments.calibration import paper_expectations
+from repro.experiments.calibration import PAPER_CLAIMS
 from repro.experiments.figures import ALL_FIGURES, fig6a
 from repro.experiments.report import FigureResult, Series, render_table
 from repro.experiments.run import main as run_main
@@ -60,11 +60,17 @@ def test_all_figures_registry_complete():
     }
 
 
-def test_paper_expectations_cover_every_figure():
-    exp = paper_expectations()
-    assert set(exp) == set(ALL_FIGURES)
-    assert exp["fig4b"]["100GB_1disk_vs_ipoib"] == pytest.approx(0.32)
-    assert exp["fig8"]["20GB_caching_benefit"] == pytest.approx(0.1839)
+def test_paper_claims_cover_every_figure():
+    assert set(PAPER_CLAIMS) == set(ALL_FIGURES)
+    claims = {
+        (fig, x, ours, base): paper
+        for fig, rows in PAPER_CLAIMS.items()
+        for x, ours, base, paper in rows
+    }
+    key = ("fig4b", 100, "OSU-IB (32Gbps)-1disk", "IPoIB (32Gbps)-1disk")
+    assert claims[key] == pytest.approx(0.32)
+    (fig8_claim,) = PAPER_CLAIMS["fig8"]
+    assert fig8_claim[3] == pytest.approx(0.1839)
 
 
 @pytest.mark.slow

@@ -1,11 +1,11 @@
 """Incremental component-scoped re-rating vs the global water-filling oracle.
 
-The incremental mode must be observationally equivalent to the preserved
-global algorithm (``FlowNetwork(sim, incremental=False)``): identical
-max-min rate vectors at every instant, and identical completion times up
-to the wake tick / float-accumulation granularity (rates are computed by
-bit-identical arithmetic; only byte-drain bookkeeping is chunked
-differently by lazy progress).
+``FlowNetwork`` must be observationally equivalent to the frozen global
+algorithm (:class:`tests.reference_flownet.ReferenceFlowNetwork`):
+identical max-min rate vectors at every instant, and identical completion
+times up to the wake tick / float-accumulation granularity (rates are
+computed by bit-identical arithmetic; only byte-drain bookkeeping is
+chunked differently by lazy progress).
 
 The workload also degrades and restores NIC links mid-run through
 ``set_capacity`` (the :class:`repro.faults.LinkDegrade` actuator), which
@@ -21,17 +21,18 @@ from hypothesis import strategies as st
 
 from repro.network.flows import _MIN_TICK, FlowNetwork, Link
 from repro.sim import Simulator
+from tests.reference_flownet import ReferenceFlowNetwork
 
-#: Completion-time slack between modes: one wake tick plus accumulated
+#: Completion-time slack between the two networks: one wake tick plus accumulated
 #: float noise (rates are bit-identical; ``remaining`` is drained in
 #: fewer, larger chunks under lazy progress).
 _TIME_ATOL = 5 * _MIN_TICK
 _TIME_RTOL = 1e-8
 
 
-def _mirrored_run(n_nics, nic_caps, transfers, incremental, degrades=()):
-    """One simulation of ``transfers`` over ``n_nics`` full-duplex NICs,
-    with ``degrades`` ``(delay, nic, direction, factor)`` setting a NIC
+def _mirrored_run(n_nics, nic_caps, transfers, network_cls, degrades=()):
+    """One simulation of ``transfers`` over ``n_nics`` full-duplex NICs on
+    a ``network_cls`` flow network, with ``degrades`` ``(delay, nic, direction, factor)`` setting a NIC
     link to ``factor`` times its base capacity.
 
     Returns (samples, completions): rate-vector snapshots after each
@@ -39,7 +40,7 @@ def _mirrored_run(n_nics, nic_caps, transfers, incremental, degrades=()):
     ``{transfer_idx: finish_time}``.
     """
     sim = Simulator()
-    net = FlowNetwork(sim, incremental=incremental)
+    net = network_cls(sim)
     nics = [
         (Link(f"n{i}.tx", cap), Link(f"n{i}.rx", cap))
         for i, cap in enumerate(nic_caps[:n_nics])
@@ -127,10 +128,14 @@ def _workload(draw):
 @settings(max_examples=120, deadline=None)
 def test_incremental_matches_global_oracle(workload):
     n_nics, nic_caps, transfers, degrades = workload
-    inc_samples, inc_done = _mirrored_run(n_nics, nic_caps, transfers, True, degrades)
-    ora_samples, ora_done = _mirrored_run(n_nics, nic_caps, transfers, False, degrades)
+    inc_samples, inc_done = _mirrored_run(
+        n_nics, nic_caps, transfers, FlowNetwork, degrades
+    )
+    ora_samples, ora_done = _mirrored_run(
+        n_nics, nic_caps, transfers, ReferenceFlowNetwork, degrades
+    )
 
-    # Every transfer completes in both modes, at matching times.
+    # Every transfer completes on both networks, at matching times.
     assert set(inc_done) == set(ora_done) == set(range(len(transfers)))
     for idx, t_ora in ora_done.items():
         t_inc = inc_done[idx]
@@ -139,9 +144,9 @@ def test_incremental_matches_global_oracle(workload):
         )
 
     # Rate vectors sampled after each step match the oracle exactly
-    # for every flow alive in both modes.  Membership may differ only for
-    # flows within a wake tick of completion (a completion on one side of
-    # the sampling instant, an epsilon away on the other).
+    # for every flow alive on both networks.  Membership may differ only
+    # for flows within a wake tick of completion (a completion on one side
+    # of the sampling instant, an epsilon away on the other).
     for idx in ora_samples:
         inc, ora = inc_samples[idx], ora_samples[idx]
         for fid in set(inc) & set(ora):
@@ -152,8 +157,8 @@ def test_incremental_matches_global_oracle(workload):
             side = inc if fid in inc else ora
             assert side[fid] >= 0  # diverged flow exists on one side only
             # It must be a completion-boundary straggler, not a live flow
-            # the other mode lost: its finish is within a couple of wake
-            # ticks of the sampling instant in the mode that re-ran it.
+            # the other network lost: its finish is within a couple of wake
+            # ticks of the sampling instant on the network that re-ran it.
             # (The completion-time check above bounds the drift itself.)
 
 
@@ -165,16 +170,16 @@ def test_incremental_matches_global_oracle(workload):
 @settings(max_examples=60, deadline=None)
 def test_all_at_once_admissions_are_bit_identical(sizes):
     """With no elapsed time there is no drain bookkeeping at all: the two
-    modes must produce bit-for-bit identical rate vectors."""
+    networks must produce bit-for-bit identical rate vectors."""
     rates = {}
-    for incremental in (True, False):
+    for network_cls in (FlowNetwork, ReferenceFlowNetwork):
         sim = Simulator()
-        net = FlowNetwork(sim, incremental=incremental)
+        net = network_cls(sim)
         a, b = Link("a", 777.0), Link("b", 333.0)
         for i, size in enumerate(sizes):
             net.transfer((a, b) if i % 2 else (a,), size, rate_cap=250.0 if i % 3 == 0 else None)
-        rates[incremental] = {f.id: f.rate for f in net._flows}
-    assert rates[True] == rates[False]
+        rates[network_cls] = {f.id: f.rate for f in net._flows}
+    assert rates[FlowNetwork] == rates[ReferenceFlowNetwork]
 
 
 def test_churn_keeps_the_event_heap_bounded():

@@ -78,6 +78,48 @@ def test_rate_cap_validation():
         net.transfer((link,), 10.0, rate_cap=0.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "links, nbytes, rate_cap",
+    [
+        ("one", NAN, 5.0),  # NaN size: the wake loop never drains it
+        ("one", float("inf"), 5.0),  # its ETA is NaN: the kernel raises later
+        ("one", 10.0, NAN),
+        ("none", 10.0, None),  # nothing bounds the rate: never completes
+        ("none", 0.0, None),
+    ],
+)
+def test_transfer_rejects_bad_inputs_at_the_call(links, nbytes, rate_cap):
+    sim, net = make_net()
+    route = (Link("l", 100.0),) if links == "one" else ()
+    with pytest.raises(ValueError):
+        net.transfer(route, nbytes, rate_cap=rate_cap)
+    assert net.active_flows == 0
+    assert sim.queue_size == 0
+
+
+@pytest.mark.parametrize("capacity", [NAN, 0.0])
+def test_link_and_set_capacity_reject_bad_capacities(capacity):
+    with pytest.raises(ValueError):
+        Link("bad", capacity)
+    sim, net = make_net()
+    link = Link("l", 100.0)
+    net.transfer((link,), 100.0)
+    with pytest.raises(ValueError):
+        net.set_capacity(link, capacity)
+    assert link.capacity == 100.0
+
+
+def test_capped_flow_without_links_runs_at_its_cap():
+    sim, net = make_net()
+    done = net.transfer((), 100.0, rate_cap=10.0)
+    sim.run(done)
+    assert sim.now == pytest.approx(10.0, rel=1e-9)
+    assert net.active_flows == 0
+
+
 def test_capped_flow_leaves_bandwidth_for_others():
     sim, net = make_net()
     link = Link("l", 100.0)

@@ -1,12 +1,12 @@
 """``FlowNetwork._water_fill`` against a frozen copy of its flat-array loop.
 
-The production water-fill scans only shared links and keeps every private
-rate-cap link (share ``cap / 1``) in a sorted candidate list.  The
-reference below is the earlier loop that scanned every link, cap links
-included, in first-seen order.  Both must pick the same bottleneck at
-every level, so the rates must be equal bit for bit (``==``, no
-tolerance) — including the tie cases the benchmark workloads rarely
-reach: a cap equal to a shared link's share, many equal caps, ``n * cap``
+The production water-fill scans the links and keeps every rate cap
+(share ``cap / 1``) in a sorted candidate list.  The reference below is
+the earlier loop that scanned every constraint in first-seen order, each
+cap as one more single-flow constraint numbered after its flow's links.
+Both must pick the same bottleneck at every level, so the rates must be
+equal bit for bit (``==``, no tolerance) — including the tie cases the
+benchmark workloads rarely reach: a cap equal to a shared link's share, many equal caps, ``n * cap``
 equal to a capacity, and caps that bind.
 
 Also checks the per-link transparency cache: after any sequence of
@@ -22,30 +22,34 @@ from repro.sim import Simulator
 
 
 def reference_water_fill(flows):
-    """The all-links flat-array water-fill loop, kept as the reference."""
+    """The all-links flat-array water-fill loop, kept as the reference.
+
+    ``flows`` are in admission order, so each link's members come out in
+    its own admission order.
+    """
     eps = _EPSILON_RATE
     link_index = {}
-    link_list = []
+    residual = []
+    members = []
     flow_links = []
-    for flow in flows:
+    for fi, flow in enumerate(flows):
         idxs = []
         for link in flow.links:
             li = link_index.get(link)
             if li is None:
-                li = link_index[link] = len(link_list)
-                link_list.append(link)
+                li = link_index[link] = len(residual)
+                residual.append(link.capacity)
+                members.append([])
+            members[li].append(fi)
             idxs.append(li)
+        if flow.cap is not None:
+            idxs.append(len(residual))
+            residual.append(flow.cap)
+            members.append([fi])
         flow_links.append(idxs)
-
-    in_sweep = {flow: fi for fi, flow in enumerate(flows)}
-    residual = [link.capacity for link in link_list]
-    members = [
-        [fi for f in link.flows if (fi := in_sweep.get(f)) is not None]
-        for link in link_list
-    ]
     unfixed_count = [len(m) for m in members]
 
-    n_links = len(link_list)
+    n_links = len(residual)
     remaining = len(flows)
     fixed = bytearray(remaining)
     rates = [0.0] * remaining
@@ -85,7 +89,7 @@ def _component(capacities, specs):
     are simply admitted onto their links, in order.
     """
     sim = Simulator()
-    net = FlowNetwork(sim, incremental=True)
+    net = FlowNetwork(sim)
     links = [Link(f"l{i}", cap) for i, cap in enumerate(capacities)]
     for route, cap in specs:
         net.transfer(tuple(links[i] for i in route), 1e9, rate_cap=cap)
@@ -156,7 +160,7 @@ def test_capped_components_match_reference(component):
 
 
 def test_cap_equal_to_shared_share_ties_to_the_lower_link_number():
-    # Flow 0's cap link is numbered before link 1 (first seen by flow 1),
+    # Flow 0's cap is numbered before link 1 (first seen by flow 1),
     # so on a tie the cap wins; link 0 is numbered before every cap.
     _assert_bit_equal([300.0, 200.0], [((0,), 100.0), ((1,), None), ((1,), None)])
     _assert_bit_equal([300.0], [((0,), 100.0), ((0,), None), ((0,), None)])
@@ -199,9 +203,9 @@ def test_tiny_caps_clamp_like_the_reference():
 def _fresh_transparent(link):
     total = 0.0
     for flow in link.flows:
-        if flow.cap_link is None:
+        if flow.cap is None:
             return False
-        total += flow.cap_link.capacity
+        total += flow.cap
     return total <= link.capacity * (1.0 - _CAP_FIT_MARGIN)
 
 
@@ -212,7 +216,7 @@ def _fresh_transparent(link):
     steps=st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=5),  # time (s)
-            st.sampled_from(["admit", "admit", "degrade", "recap"]),
+            st.sampled_from(["admit", "admit", "degrade"]),
             st.integers(min_value=0, max_value=2),  # link
             st.one_of(st.none(), st.sampled_from([50.0, 100.0, 125.0])),
             st.sampled_from([0.5, 2.0, 4.0]),  # capacity factor
@@ -224,7 +228,7 @@ def _fresh_transparent(link):
 @settings(max_examples=150, deadline=None)
 def test_cached_transparency_matches_recomputation(capacities, steps):
     sim = Simulator()
-    net = FlowNetwork(sim, incremental=True)
+    net = FlowNetwork(sim)
     links = [Link(f"l{i}", cap) for i, cap in enumerate(capacities)]
 
     def check(_event=None):
@@ -248,13 +252,8 @@ def test_cached_transparency_matches_recomputation(capacities, steps):
             route = (link, links[(li + 1) % 3]) if factor > 1 else (link,)
             done = net.transfer(route, 150.0 * factor, rate_cap=cap)
             done.add_callback(check)
-        elif action == "degrade":
+        else:
             net.set_capacity(link, link.capacity * factor)
-        else:  # a transfer's own cap link changes under it
-            capped = [f for f in net._flows if f.cap_link is not None]
-            if capped:
-                target = capped[li % len(capped)].cap_link
-                net.set_capacity(target, target.capacity * factor)
         check()
 
     for delay, action, li, cap, factor in steps:
