@@ -2,9 +2,10 @@
 
 These quantify the building blocks the figure benchmarks compose:
 merge throughput (one all-eof drain, and the reducer's packetized refill
-loop), packetizer throughput, cache operation rate, DES event
-rate (positive timeouts and zero-delay hand-offs), and flow re-rating
-cost — useful when profiling model changes.
+loop), the aggregate merger's bottleneck query, packetizer throughput,
+cache operation rate, DES event rate (positive timeouts and zero-delay
+hand-offs), and flow re-rating cost — useful when profiling model
+changes.
 """
 
 import numpy as np
@@ -91,6 +92,25 @@ def test_virtual_merger_throughput(benchmark):
             total += vm.drain()
         assert total > 0
         return total
+
+    benchmark(run)
+
+
+def test_virtual_merger_bottleneck_query(benchmark):
+    """The levitated fetch scheduler's query at the shape of a 40 GB
+    TeraSort reducer: 320 runs, the 8 lowest-coverage ones asked for, one
+    128 KB feed to the first of them per query (record-only)."""
+
+    def run():
+        vm = VirtualMerger(expected_runs=320)
+        for i in range(320):
+            vm.add_run(i, 8 * 1024 * 1024)
+        queries = 0
+        while runs := vm.bottlenecks(8):
+            vm.feed(runs[0], 128 * 1024)
+            queries += 1
+        assert queries == 320 * 64
+        return queries
 
     benchmark(run)
 

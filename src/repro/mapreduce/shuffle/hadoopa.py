@@ -23,6 +23,8 @@ Modelled per the SC'11 design and this paper's §III-C comparison:
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.core.packets import FixedPairsPacketizer, Packetizer
 from repro.mapreduce.shuffle.levitated import (
     FetchState,
@@ -54,20 +56,21 @@ class HadoopAConsumer(StreamingConsumer):
     def fetch_threads(self) -> int:
         return self.ctx.conf.hadoopa_fetch_threads
 
+    @cached_property
+    def _packet_bytes(self) -> float:
+        """Expected message size: a fixed number of pairs per message, so
+        for variable-size records it scales with the mean pair size."""
+        conf = self.ctx.conf
+        return conf.hadoopa_pairs_per_packet * conf.record_model.avg_pair_bytes
+
     def min_fetch_bytes(self, state: FetchState) -> float:
-        # A fixed number of pairs per message: for variable-size records
-        # the *expected* message size scales with the mean pair size.
-        model = self.ctx.conf.record_model
-        packet = self.ctx.conf.hadoopa_pairs_per_packet * model.avg_pair_bytes
-        return min(state.seg_bytes, packet)
+        return min(state.seg_bytes, self._packet_bytes)
 
     def wave_cap_bytes(self) -> float:
         # Pulls are batched to a couple of packets at most; with TeraSort's
         # 128 KB packets that is ~2 MB of staging granularity, with Sort's
         # ~14 MB packets the packet itself dominates.
-        model = self.ctx.conf.record_model
-        packet = self.ctx.conf.hadoopa_pairs_per_packet * model.avg_pair_bytes
-        return max(float(self.ctx.conf.rdma_wave_bytes), packet)
+        return max(float(self.ctx.conf.rdma_wave_bytes), self._packet_bytes)
 
     def buffer_waves(self) -> float:
         return 1.0  # no read-ahead beyond the head packet (pull model)
@@ -75,9 +78,7 @@ class HadoopAConsumer(StreamingConsumer):
     def packets_in(self, nbytes: float) -> float:
         # Fixed pairs per packet: the wire exposure of an exchange scales
         # with the expected packet size, not the RDMA-tuned one.
-        model = self.ctx.conf.record_model
-        packet = self.ctx.conf.hadoopa_pairs_per_packet * model.avg_pair_bytes
-        return max(1.0, -(-nbytes // max(1.0, packet)))
+        return max(1.0, -(-nbytes // max(1.0, self._packet_bytes)))
 
     def merge_gate_open(self) -> bool:
         """Merge begins when all runs are known and staging has finished."""

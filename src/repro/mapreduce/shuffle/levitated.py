@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Generator
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Any
 
 from repro.core.packets import Packetizer
@@ -70,6 +71,11 @@ class QueueingProvider(ShuffleProvider):
         self._queue_limit = int(ctx.conf.responder_queue_limit)
         self._parked_requests: deque[tuple[DataRequest, Event, Any]] = deque()
         self.bytes_served = 0.0
+        # Per-serve constants: the packet planner and the record model.
+        self._plan = self.packetizer().plan
+        model = ctx.conf.record_model
+        self._avg_pair_bytes = model.avg_pair_bytes
+        self._max_pair_bytes = model.max_pair_bytes
         for i in range(self.responder_threads()):
             ctx.sim.process(self._responder(), name=f"{tt.name}-responder{i}")
 
@@ -208,11 +214,9 @@ class QueueingProvider(ShuffleProvider):
                         FaultError("checksum", f"map {req.map_id} segment read")
                     ).defuse()
                     return
-        model = ctx.conf.record_model
-        pairs = max(1, int(round(take / model.avg_pair_bytes)))
-        plan = self.packetizer().plan(
-            take, pairs, model.avg_pair_bytes, model.max_pair_bytes
-        )
+        avg_pair = self._avg_pair_bytes
+        pairs = max(1, int(round(take / avg_pair)))
+        plan = self._plan(take, pairs, avg_pair, self._max_pair_bytes)
         try:
             if not ctx.ucr.is_connected(self.tt.node, requester):
                 # The pair may have been torn down by a flap since the
@@ -314,6 +318,14 @@ class StreamingConsumer(ShuffleConsumer):
             CreditGate(ctx, f"reduce-{reduce_id}", conf.recv_credits)
             if conf.recv_credits > 0
             else None
+        )
+        # -- per-consumer constants of the fetch scheduler --------------------
+        #: How many of the lowest-coverage runs ``_pick`` considers.
+        self._bottleneck_k = 2 * self.fetch_threads()
+        #: ``_wave_for`` terms that depend only on the conf.
+        self._per_run_share = self.capacity / (2.0 * max(1, ctx.n_maps))
+        self._wave_ceiling = min(
+            self.wave_cap_bytes(), self.capacity / (2.0 * self.fetch_threads())
         )
 
     # -- policy hooks ----------------------------------------------------------
@@ -509,8 +521,9 @@ class StreamingConsumer(ShuffleConsumer):
         """
         vm = self.vm
         if vm.all_declared:
-            for run_id in vm.bottlenecks(k=self.fetch_threads() * 2):
-                state = self.states[run_id]
+            states = self.states
+            for _cov, run_id in islice(vm.by_coverage, self._bottleneck_k):
+                state = states[run_id]
                 if not state.in_flight and not state.lost and self._has_work(state):
                     return state
         if not self.eager() and not vm.all_declared:
@@ -542,11 +555,10 @@ class StreamingConsumer(ShuffleConsumer):
         return state.fetch_remaining > 0
 
     def _wave_for(self, state: FetchState) -> float:
-        per_run_share = self.capacity / (2.0 * max(1, self.ctx.n_maps))
-        wave = max(self.min_fetch_bytes(state), per_run_share)
-        wave = min(wave, self.wave_cap_bytes())
-        # Never let a handful of threads reserve the whole buffer.
-        wave = min(wave, self.capacity / (2.0 * self.fetch_threads()))
+        wave = max(self.min_fetch_bytes(state), self._per_run_share)
+        # The wave cap, and never let a handful of threads reserve the
+        # whole buffer.
+        wave = min(wave, self._wave_ceiling)
         return max(1.0, min(wave, state.seg_bytes))
 
     # -- memory admission (spill mode) -----------------------------------------

@@ -23,6 +23,7 @@ through the DataToReduceQueue (Figure 3 bottom).
 from __future__ import annotations
 
 from collections.abc import Generator
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 from repro.core.cache import PrefetchCache
@@ -198,14 +199,15 @@ class RdmaShuffleConsumer(StreamingConsumer):
     def fetch_threads(self) -> int:
         return self.ctx.conf.rdma_fetch_threads
 
+    @cached_property
+    def _packet_bytes(self) -> float:
+        """Size-aware packets: the tuned RDMA packet size regardless of the
+        record-size distribution (never split below one max-size pair)."""
+        conf = self.ctx.conf
+        return max(float(conf.rdma_packet_bytes), conf.record_model.max_pair_bytes)
+
     def min_fetch_bytes(self, state: FetchState) -> float:
-        # Size-aware packets: the tuned RDMA packet size regardless of the
-        # record-size distribution (never split below one max-size pair).
-        model = self.ctx.conf.record_model
-        return min(
-            state.seg_bytes,
-            max(float(self.ctx.conf.rdma_packet_bytes), model.max_pair_bytes),
-        )
+        return min(state.seg_bytes, self._packet_bytes)
 
     def wave_cap_bytes(self) -> float:
         return float(self.ctx.conf.rdma_wave_bytes)

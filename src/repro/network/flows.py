@@ -30,9 +30,9 @@ every other component.  The network exploits that:
   timestamp and is drained only when its component is touched, so a
   change never scans unrelated flows.
 * **single-flow fast path** — an uncontended flow (every one of its links
-  carries only it) is rated at its bottleneck capacity and given a
-  closed-form completion via :func:`serial_transfer_time`, with no
-  water-filling at all.
+  carries only it) is rated at its bottleneck capacity and given the
+  closed-form completion ``remaining / rate``, with no water-filling at
+  all.
 * **cap-pinned fast path** — when every flow on the touched links carries
   a rate cap and each link's sum of caps stays below its capacity (with
   margin), no link can ever become the bottleneck:
@@ -67,7 +67,7 @@ from operator import attrgetter
 
 from repro.sim.core import Event, Simulator, Timeout
 
-__all__ = ["FlowNetwork", "Flow", "Link", "serial_transfer_time"]
+__all__ = ["FlowNetwork", "Flow", "Link"]
 
 #: Bytes below which a flow is considered drained (guards float error).
 _EPSILON_BYTES = 1e-6
@@ -235,10 +235,12 @@ class FlowNetwork:
         flow = Flow(next(self._fids), links, nbytes, event, self.sim.now, rate_cap)
         flow.net = self
         self._admit(flow)
-        if self._cap_pinned(flow):
+        if not links or self._cap_pinned(flow):
             # Cap-pinned fast path: no link can bottleneck, so the newcomer
-            # is pinned at exactly its cap and nobody else moves.
-            flow._rate = rate_cap  # type: ignore[assignment]
+            # is pinned at exactly its cap and nobody else moves.  A
+            # linkless flow has only its cap, a share that the water-fill
+            # would clamp at the rate floor like any other.
+            flow._rate = max(rate_cap, _EPSILON_RATE)  # type: ignore[type-var]
             self._stats["fastpath_admits"] += 1
             self._stats["rerate_touched_flows"] += 1
             self._push_eta(flow)
@@ -446,7 +448,10 @@ class FlowNetwork:
         if cap is None or cap < _EPSILON_RATE:
             return False
         for link in flow.links:
-            if not self._transparent(link):
+            verdict = link.transparent
+            if verdict is None:
+                verdict = self._transparent(link)
+            if not verdict:
                 return False
         return True
 
@@ -541,13 +546,14 @@ class FlowNetwork:
                     advanced += 1
                 flow._rate = rate
                 gen = flow.eta_gen = flow.eta_gen + 1
-                if rate > _EPSILON_RATE:  # else starved: no ETA yet
-                    left = flow.remaining
-                    eta = now + (0.0 if left < 0.0 else left) / rate
-                    push(heap, (eta, flow.id, gen, flow))
-                    if len(heap) > compact_above:
-                        self._compact_eta()
-                        heap = self._eta_heap
+                # Every rate is at least _EPSILON_RATE (the water-fill
+                # clamps shares there), so a starved flow still completes.
+                left = flow.remaining
+                eta = now + (0.0 if left < 0.0 else left) / rate
+                push(heap, (eta, flow.id, gen, flow))
+                if len(heap) > compact_above:
+                    self._compact_eta()
+                    heap = self._eta_heap
             stats["advanced_flows"] += advanced
         self._schedule_wake()
 
@@ -569,10 +575,11 @@ class FlowNetwork:
             stats["advanced_flows"] += 1
 
     def _push_eta(self, flow: Flow) -> None:
-        flow.eta_gen += 1
-        eta = self.sim.now + serial_transfer_time(max(flow.remaining, 0.0), flow._rate)
-        heapq.heappush(self._eta_heap, (eta, flow.id, flow.eta_gen, flow))
-        if len(self._eta_heap) > _ETA_COMPACT_SLACK + 4 * len(self._flows):
+        gen = flow.eta_gen = flow.eta_gen + 1
+        eta = self.sim.now + max(flow.remaining, 0.0) / flow._rate
+        heap = self._eta_heap
+        heapq.heappush(heap, (eta, flow.id, gen, flow))
+        if len(heap) > _ETA_COMPACT_SLACK + 4 * len(self._flows):
             self._compact_eta()
 
     def _compact_eta(self) -> None:
@@ -586,41 +593,41 @@ class FlowNetwork:
         self._eta_heap = live
         self._stats["eta_compactions"] += 1
 
-    def _earliest_eta(self) -> float | None:
-        """Next completion time, purging stale heap heads."""
-        heap = self._eta_heap
-        while heap:
-            eta, _fid, gen, flow = heap[0]
-            if flow in self._flows and gen == flow.eta_gen:
-                return eta
-            heapq.heappop(heap)
-        return None
-
     def _schedule_wake(self) -> None:
         """Maintain the single live wake timer at the next completion time.
 
         A pending wake that fires *earlier* than needed is kept (it will
         re-arm itself as spurious); one that would fire *late* is
         cancelled and replaced, so the calendar never holds a wake that
-        could miss a completion — and never accumulates dead ones.
+        could miss a completion — and never accumulates dead ones.  Stale
+        heads are purged first: ``_finish`` bumps a flow's ``eta_gen``,
+        so the generation alone tells a live entry.
         """
-        eta = self._earliest_eta()
-        if eta is None:
+        heap = self._eta_heap
+        while heap:
+            head = heap[0]
+            if head[2] == head[3].eta_gen:
+                break
+            heapq.heappop(heap)
+        else:
             if self._wake is not None:
                 self._wake.cancel()
                 self._stats["dead_wakeups"] += 1
                 self._wake = None
                 self._wake_at = float("inf")
             return
-        target = max(self.sim.now + _MIN_TICK, eta)
-        if self._wake is not None:
+        sim = self.sim
+        now = sim.now
+        target = max(now + _MIN_TICK, head[0])
+        wake = self._wake
+        if wake is not None:
             if self._wake_at <= target:
                 return
-            self._wake.cancel()
+            wake.cancel()
             self._stats["dead_wakeups"] += 1
-        self._wake = self.sim.timeout(target - self.sim.now)
+        wake = self._wake = Timeout(sim, target - now)
         self._wake_at = target
-        self._wake.add_callback(self._on_wake)
+        wake.callbacks.append(self._on_wake)  # type: ignore[union-attr]
 
     def _on_wake(self, wake: Event) -> None:
         if wake is not self._wake:  # pragma: no cover - cancel() prevents this
@@ -637,7 +644,7 @@ class FlowNetwork:
         due: list[Flow] = []
         while heap:
             eta, _fid, gen, flow = heap[0]
-            if flow not in self._flows or gen != flow.eta_gen:
+            if gen != flow.eta_gen:
                 heapq.heappop(heap)
                 continue
             if eta > horizon:
@@ -649,7 +656,8 @@ class FlowNetwork:
             self._schedule_wake()
             return
 
-        due.sort(key=lambda f: f.id)
+        if len(due) > 1:
+            due.sort(key=attrgetter("id"))
         self._advance(due)
         finished: list[Flow] = []
         for flow in due:
@@ -689,8 +697,3 @@ class FlowNetwork:
             self._mark_dirty(seed_links)
         else:
             self._schedule_wake()
-
-
-def serial_transfer_time(nbytes: float, bandwidth: float, latency: float = 0.0) -> float:
-    """Closed-form uncontended transfer time (used by analytic fast paths)."""
-    return latency + nbytes / bandwidth

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.flows import FlowNetwork, Link
+from repro.network.flows import _EPSILON_RATE, FlowNetwork, Link
 from repro.sim import Simulator
 
 
@@ -118,6 +118,18 @@ def test_capped_flow_without_links_runs_at_its_cap():
     sim.run(done)
     assert sim.now == pytest.approx(10.0, rel=1e-9)
     assert net.active_flows == 0
+
+
+@pytest.mark.parametrize("links", [1, 0])
+def test_flow_capped_below_the_rate_floor_completes_at_the_floor(links):
+    """A share below ``_EPSILON_RATE`` is clamped to it, and the flow
+    still completes at that rate instead of staying active forever."""
+    sim, net = make_net()
+    done = net.transfer((Link("l", 100.0),) * links, 10.0, rate_cap=1e-12)
+    sim.run()
+    assert done.triggered
+    assert net.active_flows == 0
+    assert sim.now == pytest.approx(10.0 / _EPSILON_RATE, rel=1e-9)
 
 
 def test_capped_flow_leaves_bandwidth_for_others():

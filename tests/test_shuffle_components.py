@@ -1,8 +1,9 @@
-"""Component-level tests of the shuffle engines' TaskTracker halves.
+"""Component-level tests of the shuffle engines' TaskTracker halves and
+the reducer's fetch scheduler.
 
-These build a minimal job context and drive a single provider directly —
-no full job — to pin down the request/response, cache, and prefetcher
-semantics the integration tests rely on.
+These build a minimal job context and drive a single provider (or
+consumer) directly — no full job — to pin down the request/response,
+cache, prefetcher and run-picking semantics the integration tests rely on.
 """
 
 import pytest
@@ -16,9 +17,11 @@ from repro.core.protocol import (
 )
 from repro.mapreduce.context import JobContext
 from repro.mapreduce.job import terasort_job
-from repro.mapreduce.shuffle.hadoopa import HadoopAProvider
+from repro.core.virtualmerge import VirtualMerger
+from repro.mapreduce.shuffle.hadoopa import HadoopAConsumer, HadoopAProvider
 from repro.mapreduce.shuffle.http import HttpShuffleProvider
-from repro.mapreduce.shuffle.rdma import RdmaShuffleProvider
+from repro.mapreduce.shuffle.levitated import FetchState
+from repro.mapreduce.shuffle.rdma import RdmaShuffleConsumer, RdmaShuffleProvider
 from repro.mapreduce.tasktracker import TaskTracker
 from repro.sim.core import Event
 
@@ -229,3 +232,71 @@ def test_http_servlet_pool_bounds_concurrency():
         if provider.servlets.queue_len > 0:
             saw_queueing = True
     assert saw_queueing
+
+
+# ---------------------------------------------------------------------------
+# Fetch scheduling (reducer side)
+# ---------------------------------------------------------------------------
+
+
+def _consumer_with_runs(engine, delivered):
+    """A consumer whose merge knows one 16 MB run per entry of
+    ``delivered`` (bytes already fed), every run queued for work."""
+    cluster, ctx = make_ctx(engine)
+    tt = TaskTracker(ctx, cluster.nodes[0])
+    consumer_cls = {"hadoopa": HadoopAConsumer, "rdma": RdmaShuffleConsumer}[engine]
+    consumer = consumer_cls(ctx, tt, reduce_id=0)
+    consumer.vm = VirtualMerger()  # every run declared
+    for map_id, got in enumerate(delivered):
+        meta, _file = publish_output(ctx, tt, map_id, total=16 * MB * ctx.conf.n_reduces)
+        seg_bytes, seg_pairs = meta.segment(0)
+        state = FetchState(meta=meta, seg_bytes=seg_bytes, seg_pairs=seg_pairs)
+        state.offset = got
+        consumer.states[map_id] = state
+        consumer.vm.add_run(map_id, seg_bytes)
+        consumer.vm.feed(map_id, got)
+        consumer._enqueue(state)
+    return consumer
+
+
+def _eager_bottleneck(consumer):
+    """The bottleneck pick as a full ``bottlenecks(k)`` list would make it."""
+    for run_id in consumer.vm.bottlenecks(2 * consumer.fetch_threads()):
+        state = consumer.states[run_id]
+        if not state.in_flight and not state.lost and consumer._has_work(state):
+            return state
+    return None
+
+
+def _descending_coverage(n_runs):
+    """Delivered bytes per run, falling with the run id (all far below a
+    read-ahead target): the bottleneck order is the reverse of the work
+    queue's."""
+    return [(n_runs - 1 - i) * 1024.0 for i in range(n_runs)]
+
+
+@pytest.mark.parametrize("engine", ["hadoopa", "rdma"])
+@pytest.mark.parametrize(
+    "in_flight, lost",
+    [((), ()), ((23,), ()), ((23, 22, 21), (20,)), ((22, 18, 16), (23, 21)), ((), (23, 19, 17))],
+)
+def test_pick_walk_matches_eager_bottleneck_list(engine, in_flight, lost):
+    consumer = _consumer_with_runs(engine, _descending_coverage(24))
+    for map_id in in_flight:
+        consumer.states[map_id].in_flight = True
+    for map_id in lost:
+        consumer.states[map_id].lost = True
+    expected = _eager_bottleneck(consumer)
+    assert expected is not None
+    assert consumer._pick() is expected
+
+
+@pytest.mark.parametrize("engine", ["hadoopa", "rdma"])
+def test_pick_falls_through_to_work_queue_when_bottlenecks_busy(engine):
+    consumer = _consumer_with_runs(engine, _descending_coverage(24))
+    k = 2 * consumer.fetch_threads()
+    for map_id in range(24 - k, 24):  # the k worst bottlenecks
+        consumer.states[map_id].in_flight = True
+    assert _eager_bottleneck(consumer) is None
+    # Not the next bottleneck (run 23 - k): the head of the work queue.
+    assert consumer._pick() is consumer.states[0]
