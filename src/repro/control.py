@@ -65,6 +65,24 @@ COUNTER_KEYS = (
     "migrations",
 )
 
+#: Floor for mid-job ``recv_credits`` retuning.  The controller only
+#: adjusts a gate that exists (``recv_credits > 0`` armed it); the
+#: ceiling is twice the job's static window.
+MIN_CREDITS = 1
+
+#: Band for mid-job ``shuffle_spill_threshold`` retuning (fractions of
+#: the shuffle buffer; the controller never leaves it).
+SPILL_FLOOR = 0.35
+SPILL_CEILING = 0.9
+
+#: Responder backlog depth at (or beyond) which a tracker draws a
+#: placement penalty when reduce attempts are (re)located.
+QUEUE_DEPTH = 8
+
+#: EWMA health score at (or beyond) which a tracker draws a placement
+#: penalty (the integrity layer must be active for scores to exist).
+HEALTH_THRESHOLD = 0.3
+
 #: Retune step sizes (fractions of the shuffle buffer per tick).
 _SPILL_STEP_DOWN = 0.10
 _SPILL_STEP_UP = 0.05
@@ -116,17 +134,7 @@ class ControlPlane:
         self.ctx = ctx
         conf = ctx.conf
         self.interval = float(conf.control_interval)
-        self.min_credits = int(conf.control_min_credits)
-        # 0 means "twice the static window" (never shrink a window the
-        # job didn't arm: retune only touches existing gates).
-        self.max_credits = int(conf.control_max_credits) or max(
-            self.min_credits, 2 * conf.recv_credits
-        )
-        self.spill_floor = float(conf.control_spill_floor)
-        self.spill_ceiling = float(conf.control_spill_ceiling)
-        self.queue_depth = int(conf.control_queue_depth)
-        self.health_threshold = float(conf.control_health_threshold)
-        self.migrate_enabled = bool(conf.control_migrate)
+        self.max_credits = max(MIN_CREDITS, 2 * conf.recv_credits)
 
         self.counters = Counter()
         for key in COUNTER_KEYS:
@@ -160,9 +168,9 @@ class ControlPlane:
 
     def _penalised(self, tt: "TaskTracker") -> bool:
         """Does placement steering want to avoid this tracker right now?"""
-        if self._backlog(tt) >= self.queue_depth:
+        if self._backlog(tt) >= QUEUE_DEPTH:
             return True
-        return self._health(tt.name) >= self.health_threshold
+        return self._health(tt.name) >= HEALTH_THRESHOLD
 
     # -- decision log --------------------------------------------------------
 
@@ -219,8 +227,7 @@ class ControlPlane:
     def _tick(self) -> None:
         self.counters.add("ticks", 1)
         self._retune_pass()
-        if self.migrate_enabled:
-            self._migrate_pass()
+        self._migrate_pass()
 
     def _retune_pass(self) -> None:
         """Per-reducer window/spill adjustment from live pressure gauges."""
@@ -240,15 +247,15 @@ class ControlPlane:
             want_credits = None
             want_spill = None
             if hot:
-                if credits is not None and int(credits) > self.min_credits:
-                    want_credits = max(self.min_credits, int(credits) // 2)
-                if spill_frac > self.spill_floor:
-                    want_spill = max(self.spill_floor, spill_frac - _SPILL_STEP_DOWN)
+                if credits is not None and int(credits) > MIN_CREDITS:
+                    want_credits = max(MIN_CREDITS, int(credits) // 2)
+                if spill_frac > SPILL_FLOOR:
+                    want_spill = max(SPILL_FLOOR, spill_frac - _SPILL_STEP_DOWN)
             elif cold:
                 if credits is not None and int(credits) < self.max_credits:
                     want_credits = min(self.max_credits, int(credits) + 1)
-                if 0 < spill_frac < self.spill_ceiling:
-                    want_spill = min(self.spill_ceiling, spill_frac + _SPILL_STEP_UP)
+                if 0 < spill_frac < SPILL_CEILING:
+                    want_spill = min(SPILL_CEILING, spill_frac + _SPILL_STEP_UP)
             if want_credits is None and want_spill is None:
                 continue
             applied = attempt.consumer.retune(

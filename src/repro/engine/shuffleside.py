@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.core.cache import PrefetchCache
 from repro.core.merge import DataToReduceQueue, KWayMerger
-from repro.core.packets import Packetizer, Record, record_size
+from repro.core.packets import Packetizer, Record
 from repro.engine.mapside import MapOutput
 
 __all__ = ["SegmentServer", "ShuffleStats", "shuffle_and_merge"]
@@ -65,8 +65,11 @@ class SegmentServer:
                         self.cache.insert((map_id, reduce_id), nbytes)
 
     def open(self, map_id: int, reduce_id: int) -> None:
-        packets = self.packetizer.packets(self.outputs[map_id].partitions[reduce_id])
+        output = self.outputs[map_id]
+        packets = self.packetizer.packets(output.partitions[reduce_id])
         self._streams[(map_id, reduce_id)] = (packets, next(packets, None))
+        # Every opened segment is served to eof: count its bytes once.
+        self.stats.bytes += output.partition_bytes(reduce_id)
 
     def next_packet(self, map_id: int, reduce_id: int) -> tuple[list[Record], bool]:
         """The next packet of a segment and whether the segment is done."""
@@ -89,7 +92,6 @@ class SegmentServer:
                 self.cache.insert(key, nbytes)
         self.stats.packets += 1
         self.stats.records += len(packet)
-        self.stats.bytes += sum(map(record_size, packet))
         lookahead = next(packets, None)
         if lookahead is not None:
             self._streams[key] = (packets, lookahead)

@@ -69,6 +69,9 @@ _MASK64 = (1 << 64) - 1
 #: XOR mask applied to a stored digest to model a flipped bit.
 CORRUPTION_MASK = 0x5DEECE66D
 
+#: EWMA weight of one checksum failure in a node's health score.
+EWMA_ALPHA = 0.25
+
 #: All integrity counters, pre-seeded so the exported key set is stable.
 COUNTER_KEYS = (
     "verified",
@@ -121,14 +124,14 @@ class _Health:
         self.score = 0.0
         self.failures = 0
 
-    def fail(self, alpha: float) -> None:
+    def fail(self) -> None:
         self.failures += 1
-        self.score += alpha * (1.0 - self.score)
+        self.score += EWMA_ALPHA * (1.0 - self.score)
 
-    def ok(self, alpha: float) -> None:
+    def ok(self) -> None:
         # Forgive at a quarter of the blame rate: a sick disk that fails
         # one read in three must still climb, not hover.
-        self.score *= 1.0 - alpha / 4.0
+        self.score *= 1.0 - EWMA_ALPHA / 4.0
 
 
 class IntegrityManager:
@@ -147,7 +150,6 @@ class IntegrityManager:
         plan: "FaultPlan | None",
         node_names: Iterable[str],
         *,
-        ewma_alpha: float = 0.25,
         quarantine_threshold: float = 0.6,
         quarantine_min_failures: int = 4,
         tracer: "PhaseTracer | None" = None,
@@ -156,7 +158,6 @@ class IntegrityManager:
         self._rng = rng
         self._tracer = tracer
         self.nodes = list(node_names)
-        self.alpha = ewma_alpha
         self.threshold = quarantine_threshold
         self.min_failures = quarantine_min_failures
 
@@ -227,7 +228,7 @@ class IntegrityManager:
             self.counters.add("recovered", open_count)
         h = self._health.get(node)
         if h is not None:
-            h.ok(self.alpha)
+            h.ok()
 
     def note_condemned(self, host: str, file_name: str) -> None:
         """The canonical artifact at ``(host, file_name)`` was condemned.
@@ -248,7 +249,7 @@ class IntegrityManager:
         h = self._health.get(node)
         if h is None:
             h = self._health[node] = _Health()
-        h.fail(self.alpha)
+        h.fail()
         if (
             node not in self.quarantine
             and h.failures >= self.min_failures
@@ -323,11 +324,6 @@ class IntegrityManager:
                 settled += self._pending.pop(key)
         if settled:
             self.counters.add("recovered", settled)
-
-    def prefer_healthy(self, names: list) -> list:
-        """Subset of ``names`` outside quarantine — or all, if none qualify."""
-        ok = [n for n in names if n not in self.quarantine]
-        return ok or names
 
     # -- per-hop checks ------------------------------------------------------
 

@@ -189,7 +189,6 @@ class JobContext:
                 cluster.rng,
                 conf.fault_plan,
                 [n.name for n in cluster.nodes],
-                ewma_alpha=conf.integrity_ewma_alpha,
                 quarantine_threshold=conf.quarantine_threshold,
                 quarantine_min_failures=conf.quarantine_min_failures,
                 tracer=self.tracer,
@@ -290,10 +289,6 @@ class JobContext:
         if j <= 0:
             return 1.0
         return float(1.0 + self.rng.stream(stream).uniform(-j, j))
-
-    def segment_of(self, meta: MapOutputMeta, reduce_id: int) -> tuple[float, int]:
-        """(bytes, pairs) of the segment a reducer fetches from one map."""
-        return meta.segment(reduce_id)
 
     def record_map_completion(self, meta: MapOutputMeta) -> None:
         first_commit = meta.map_id not in self._ever_completed

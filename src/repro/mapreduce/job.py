@@ -165,25 +165,8 @@ class JobConf:
     # identical to a build without this subsystem.
     #
     #: Seconds between controller ticks; 0 disables the control plane.
+    #: The policy's bounds are constants of repro.control.
     control_interval: float = 0.0
-    #: Bounds for mid-job ``recv_credits`` retuning.  The controller only
-    #: adjusts a gate that exists (``recv_credits > 0`` armed it); 0 for
-    #: the max means "twice the static window".
-    control_min_credits: int = 1
-    control_max_credits: int = 0
-    #: Bounds for mid-job ``shuffle_spill_threshold`` retuning (fractions
-    #: of the shuffle buffer; the controller never leaves this band).
-    control_spill_floor: float = 0.35
-    control_spill_ceiling: float = 0.9
-    #: Responder backlog depth at (or beyond) which a tracker draws a
-    #: placement penalty when reduce attempts are (re)located.
-    control_queue_depth: int = 8
-    #: EWMA health score at (or beyond) which a tracker draws a placement
-    #: penalty (integrity layer must be active for scores to exist).
-    control_health_threshold: float = 0.3
-    #: Migrate in-flight reducers off a tracker that crosses the
-    #: quarantine threshold mid-job (killed-not-failed reschedule).
-    control_migrate: bool = True
 
     # -- data integrity (checksums, corruption recovery, quarantine) --------------
     # Same inert-by-default contract: with integrity_checksums off and no
@@ -195,8 +178,6 @@ class JobConf:
     #: Verify checksums on every read/receive hop (disk, cache, HDFS,
     #: transport).  Forced on whenever the fault plan carries corruption.
     integrity_checksums: bool = False
-    #: EWMA weight of one checksum failure in a node's health score.
-    integrity_ewma_alpha: float = 0.25
     #: Health score at (or above) which a node is quarantined: excluded
     #: from replica preference and new task placement, cache dropped.
     quarantine_threshold: float = 0.6
@@ -208,28 +189,14 @@ class JobConf:
     # Same inert-by-default contract as every robustness block above: with
     # master_journal off and no master entries in fault_plan, no journal is
     # created, no master.* counters appear, and runs stay event-for-event
-    # identical to a build without this subsystem.
+    # identical to a build without this subsystem.  The lease, heartbeat,
+    # restart and flush timings are constants of repro.mapreduce.journal.
     #
     #: Write the job journal even without planned master faults (lets a
     #: run be crash-recoverable "just in case", at the cost of the
     #: journal flush I/O).  Forced on whenever the fault plan carries
     #: master entries.
     master_journal: bool = False
-    #: Seconds of master silence before TaskTrackers park (stop
-    #: reporting completions upward) and the supervisor declares the
-    #: incarnation dead.  A MasterStall shorter than this is survived.
-    master_lease_timeout: float = 1.5
-    #: Seconds between JobTracker heartbeats to the lease layer.
-    master_heartbeat_interval: float = 0.5
-    #: Seconds between master death being declared and the replacement
-    #: JobTracker starting journal replay (process restart + init cost).
-    master_restart_delay: float = 1.0
-    #: Seconds between journal group-commit flushes to HDFS.  Appends
-    #: between flushes are buffered (group commit); a crash loses none of
-    #: the *decisions* — replay is reconstructed from the journal object,
-    #: which models the durable tail — but the flush cadence sets the
-    #: recurring I/O charge the journal adds to the run.
-    master_journal_flush: float = 0.5
 
     # -- costs -------------------------------------------------------------------
     costs: CostModel = field(default_factory=lambda: DEFAULT_COSTS)
@@ -255,11 +222,6 @@ class JobConf:
             raise ValueError("responder_queue_limit must be >= 0")
         if self.partition_skew < 0:
             raise ValueError("partition_skew must be >= 0")
-        if not 0.0 < self.integrity_ewma_alpha <= 1.0:
-            raise ValueError(
-                f"integrity_ewma_alpha must be in (0, 1], "
-                f"got {self.integrity_ewma_alpha}"
-            )
         if not 0.0 < self.quarantine_threshold <= 1.0:
             raise ValueError(
                 f"quarantine_threshold must be in (0, 1], "
@@ -269,49 +231,8 @@ class JobConf:
             raise ValueError("quarantine_min_failures must be >= 1")
         if self.control_interval < 0:
             raise ValueError("control_interval must be >= 0")
-        if self.control_interval > 0:
-            if self.control_min_credits < 1:
-                raise ValueError("control_min_credits must be >= 1")
-            if self.control_max_credits < 0:
-                raise ValueError("control_max_credits must be >= 0")
-            if (
-                0 < self.control_max_credits < self.control_min_credits
-            ):
-                raise ValueError(
-                    "control_max_credits must be >= control_min_credits"
-                )
-            if not 0.0 < self.control_spill_floor <= 1.0:
-                raise ValueError(
-                    f"control_spill_floor must be in (0, 1], "
-                    f"got {self.control_spill_floor}"
-                )
-            if not self.control_spill_floor <= self.control_spill_ceiling <= 1.0:
-                raise ValueError(
-                    "control_spill_ceiling must be in "
-                    "[control_spill_floor, 1]"
-                )
-            if self.control_queue_depth < 1:
-                raise ValueError("control_queue_depth must be >= 1")
-            if not 0.0 < self.control_health_threshold <= 1.0:
-                raise ValueError(
-                    f"control_health_threshold must be in (0, 1], "
-                    f"got {self.control_health_threshold}"
-                )
         if self.speculative_cap < 0:
             raise ValueError("speculative_cap must be >= 0")
-        if self.master_active:
-            if self.master_heartbeat_interval <= 0:
-                raise ValueError("master_heartbeat_interval must be positive")
-            if self.master_lease_timeout <= self.master_heartbeat_interval:
-                # A lease no longer than one heartbeat would expire
-                # between beats on a perfectly healthy master.
-                raise ValueError(
-                    "master_lease_timeout must exceed master_heartbeat_interval"
-                )
-            if self.master_restart_delay <= 0:
-                raise ValueError("master_restart_delay must be positive")
-            if self.master_journal_flush <= 0:
-                raise ValueError("master_journal_flush must be positive")
         if self.speculation_active:
             if self.speculative_threshold <= 1.0:
                 # LATE's lag bar: at threshold <= 1 every on-pace attempt

@@ -69,9 +69,10 @@ class JobTracker:
         self._reduce_attempt_procs: dict[int, list[Any]] = {}
         self._reduce_hosts: dict[Any, str] = {}
         self._consumer_cls: type | None = None
-        # Fault recovery: maps with a re-execution in flight, and the
-        # re-execution driver processes (drained before job cleanup).
-        self._reexec_pending: set[int] = set()
+        # Fault recovery: maps with a re-execution in flight (-> the
+        # driver process that owns it), and every re-execution driver
+        # process (drained before job cleanup).
+        self._reexec_pending: dict[int, Any] = {}
         self._reexec_procs: list[Any] = []
 
     # -- lifecycle -----------------------------------------------------------
@@ -406,7 +407,7 @@ class JobTracker:
         self._reduce_speculated = set()
         self._reduce_attempt_procs = {}
         self._reduce_hosts = {}
-        self._reexec_pending = set()
+        self._reexec_pending = {}
         self._reexec_procs = []
         self._map_loop_procs = []
         self._watcher_procs = []
@@ -587,12 +588,15 @@ class JobTracker:
         self._relaunch_lost_map(map_id, self._attempt_meta[map_id][2])
 
     def _relaunch_lost_map(self, map_id: int, block: Block) -> None:
-        if map_id in self._reexec_pending:
-            return
-        self._reexec_pending.add(map_id)
+        owner = self._reexec_pending.get(map_id)
+        if owner is not None and owner is not self.sim.active_process:
+            return  # a re-execution is already in flight
+        # Either none was pending, or the pending one asks for its own
+        # successor (its host crashed under it): hand the mark on.
         proc = self.sim.process(
             self._reexecute(map_id, block), name=f"reexec-m{map_id}"
         )
+        self._reexec_pending[map_id] = proc
         self._reexec_procs.append(proc)
         self._attempts.setdefault(map_id, []).append(proc)
 
@@ -600,7 +604,6 @@ class JobTracker:
         """Re-run a lost map on a healthy TaskTracker; republish its meta."""
 
         ctx = self.ctx
-        tt = None
         slot = None
         try:
             ctx.counters.add("map.reexecuted", 1)
@@ -610,34 +613,30 @@ class JobTracker:
             if ctx.faults.node_dead(tt.name):
                 # The chosen node crashed while we queued for its slot.
                 slot.cancel()
-                slot = None
-                self._reexec_pending.discard(map_id)
                 self._relaunch_lost_map(map_id, block)
                 return
             if map_id in ctx.map_outputs:
                 # A racing attempt (e.g. speculation) committed meanwhile.
                 slot.cancel()
-                slot = None
-                self._reexec_pending.discard(map_id)
                 return
             self._attempt_meta[map_id] = (self.sim.now, tt.name, block)
+            # A crash of this host under the attempt is relaunched from
+            # _map_wrapper's node-crash branch.
             yield from self._map_wrapper(tt, (map_id, block), slot)
-            slot = None  # _map_wrapper released it
         except Interrupted as exc:
-            # The re-execution host crashed too (or a speculative sibling
-            # won while we waited for a slot).
+            # The re-execution host crashed while we waited for a slot
+            # (or a speculative sibling won meanwhile).
             if slot is not None:
                 slot.cancel()  # safe whether or not the slot was granted
-                slot = None
-            self._reexec_pending.discard(map_id)
             if exc.cause == "master-crash":
                 # No relaunch from a dead master: the next incarnation
                 # reschedules this map from journaled/TT-storage truth.
                 return
             if map_id not in ctx.map_outputs:
                 self._relaunch_lost_map(map_id, block)
-            return
-        self._reexec_pending.discard(map_id)
+        finally:
+            if self._reexec_pending.get(map_id) is self.sim.active_process:
+                del self._reexec_pending[map_id]
 
     def _pick_healthy_tracker(self, block: Block) -> TaskTracker:
         """Least-loaded live TaskTracker, preferring live input replicas."""

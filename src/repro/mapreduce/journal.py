@@ -16,8 +16,8 @@ the three classic ingredients of master fail-over:
   amortise fsyncs across transactions.
 
 * **Lease-based failure detection.**  A healthy master heartbeats every
-  ``master_heartbeat_interval``; on master death the workers notice only
-  after ``master_lease_timeout`` of silence, park (stop reporting
+  ``HEARTBEAT_INTERVAL``; on master death the workers notice only
+  after ``LEASE_TIMEOUT`` of silence, park (stop reporting
   completions upward — TaskTracker storage keeps serving the shuffle),
   and re-register with the restarted master.  A :class:`MasterStall`
   shorter than the lease is survived in place; a longer one is
@@ -58,6 +58,26 @@ __all__ = ["JobJournal", "MasterSupervisor", "RecoveryState"]
 
 #: Modelled on-disk size of one journal record (ids + enum + timestamps).
 RECORD_BYTES = 256.0
+
+#: Seconds of master silence before TaskTrackers park (stop reporting
+#: completions upward) and the supervisor declares the incarnation dead.
+#: A MasterStall shorter than this is survived.  It must exceed
+#: HEARTBEAT_INTERVAL, or a healthy master's lease would lapse between
+#: beats.
+LEASE_TIMEOUT = 1.5
+
+#: Seconds between JobTracker heartbeats to the lease layer.
+HEARTBEAT_INTERVAL = 0.5
+
+#: Seconds between master death being declared and the replacement
+#: JobTracker starting journal replay (process restart + init cost).
+RESTART_DELAY = 1.0
+
+#: Seconds between journal group-commit flushes to HDFS.  Appends between
+#: flushes are buffered; a crash loses none of the *decisions* (replay is
+#: reconstructed from the journal object, which models the durable tail),
+#: but the flush cadence sets the recurring I/O charge the journal adds.
+JOURNAL_FLUSH = 0.5
 
 
 @dataclass
@@ -264,10 +284,9 @@ class JobJournal:
 
     def heartbeat_loop(self) -> Generator[Event, Any, None]:
         """The master's lease renewal; silence past the lease means death."""
-        interval = self.ctx.conf.master_heartbeat_interval
         try:
             while True:
-                yield self.sim.timeout(interval)
+                yield self.sim.timeout(HEARTBEAT_INTERVAL)
                 self.counters.add("heartbeats", 1)
         except Interrupted:
             return
@@ -281,10 +300,9 @@ class JobJournal:
         the journal's entire runtime overhead.
         """
         ctx = self.ctx
-        interval = ctx.conf.master_journal_flush
         try:
             while True:
-                yield self.sim.timeout(interval)
+                yield self.sim.timeout(JOURNAL_FLUSH)
                 if not self._unflushed or self.master_down:
                     continue
                 batch, self._unflushed = self._unflushed, []
@@ -426,7 +444,7 @@ class MasterSupervisor:
                         timer.cancel()
                     break
                 idx += 1
-                if kind == "stall" and duration <= conf.master_lease_timeout:
+                if kind == "stall" and duration <= LEASE_TIMEOUT:
                     # A pause shorter than the lease: heartbeats resume
                     # before any worker parks.  Survived in place — the
                     # scheduler slept through it, which at this fidelity
@@ -459,7 +477,6 @@ class MasterSupervisor:
         duration: float,
     ) -> Generator[Event, Any, None]:
         ctx = self.ctx
-        conf = ctx.conf
         journal = ctx.journal
         if ctx.faults is not None:
             ctx.faults.counters.add(
@@ -478,7 +495,7 @@ class MasterSupervisor:
         # The lease window: workers run headless.  Maps that finish land
         # in TaskTracker storage but go unreported; reduces that finish
         # hit the fenced journal and are torn down uncommitted.
-        yield self.sim.timeout(conf.master_lease_timeout)
+        yield self.sim.timeout(LEASE_TIMEOUT)
         parked = 0
         for name in sorted(ctx.trackers):
             tt = ctx.trackers[name]
@@ -493,7 +510,7 @@ class MasterSupervisor:
         if live:
             yield self.sim.all_of(live)
         # Replacement master process start-up.
-        yield self.sim.timeout(conf.master_restart_delay)
+        yield self.sim.timeout(RESTART_DELAY)
         new_epoch = journal.fence()
         recovery = journal.replay()
         self._rebuild(jt, recovery)

@@ -59,10 +59,6 @@ class Fabric:
         """Generator: transfer ``nbytes`` between two hosts (``yield from``)."""
         return self.transport.send(src, dst, nbytes, messages)
 
-    def bytes_moved(self) -> float:
-        """Total payload bytes accepted by the flow network so far."""
-        return self.flows.total_bytes
-
     def metrics_snapshot(self) -> dict[str, float]:
         """Fabric-level counters: the flow network's re-rating/wake stats
         plus the attached-NIC population (``net.*`` namespace)."""

@@ -14,10 +14,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import control, integrity
 from repro.cluster import westmere_cluster
 from repro.control import COUNTER_KEYS
 from repro.faults import DiskCorruption, FaultPlan
-from repro.mapreduce import run_job, terasort_job
+from repro.mapreduce import journal, run_job, terasort_job
 from repro.mapreduce.shuffle.base import CreditGate, ShuffleConsumer
 from repro.obs.phases import PhaseTracer
 from repro.sim.core import Simulator
@@ -78,7 +79,7 @@ def test_controller_on_quiet_job_is_timing_transparent():
     and the periodic scan itself is free in simulated time.
     """
     plain = run("rdma")
-    controlled = run("rdma", control_interval=2.0, control_migrate=False)
+    controlled = run("rdma", control_interval=2.0)
     assert controlled.execution_time == plain.execution_time
     assert_same_output(plain, controlled)
     c = controlled.counters
@@ -89,24 +90,19 @@ def test_controller_on_quiet_job_is_timing_transparent():
 def test_control_knob_validation():
     with pytest.raises(ValueError, match="control_interval"):
         run("rdma", control_interval=-1.0)
-    with pytest.raises(ValueError, match="control_min_credits"):
-        run("rdma", control_interval=1.0, control_min_credits=0)
-    with pytest.raises(ValueError, match="control_max_credits"):
-        run(
-            "rdma",
-            control_interval=1.0,
-            control_min_credits=4,
-            control_max_credits=2,
-        )
-    with pytest.raises(ValueError, match="control_spill_ceiling"):
-        run(
-            "rdma",
-            control_interval=1.0,
-            control_spill_floor=0.6,
-            control_spill_ceiling=0.5,
-        )
-    with pytest.raises(ValueError, match="control_health_threshold"):
-        run("rdma", control_interval=1.0, control_health_threshold=0.0)
+
+
+def test_robustness_constants_are_consistent():
+    assert control.MIN_CREDITS >= 1
+    assert 0.0 < control.SPILL_FLOOR <= control.SPILL_CEILING <= 1.0
+    assert control.QUEUE_DEPTH >= 1
+    assert 0.0 < control.HEALTH_THRESHOLD <= 1.0
+    assert 0.0 < integrity.EWMA_ALPHA <= 1.0
+    # A lease no longer than one heartbeat would lapse between beats on
+    # a healthy master.
+    assert journal.LEASE_TIMEOUT > journal.HEARTBEAT_INTERVAL > 0.0
+    assert journal.RESTART_DELAY > 0.0
+    assert journal.JOURNAL_FLUSH > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +220,6 @@ def test_reducers_migrate_off_quarantined_tracker():
         if d["action"] == "migrations"
     ]
     assert moves and all(m["tracker"] == "node02" for m in moves)
-
-
-def test_migration_disabled_keeps_reducers_in_place():
-    controlled = run(
-        "rdma",
-        n_reduces=6,
-        fault_plan=SICK_NODE,
-        recv_credits=4,
-        control_interval=0.5,
-        control_migrate=False,
-        **FAST_KNOBS,
-    )
-    c = controlled.counters
-    assert c["control.migrations"] == 0
-    assert c["reduce.migrated"] == 0
 
 
 # ---------------------------------------------------------------------------

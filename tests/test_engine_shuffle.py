@@ -19,7 +19,6 @@ import pytest
 
 import repro.core.packets as packets_mod
 import repro.engine.mapside as mapside_mod
-import repro.engine.shuffleside as shuffleside_mod
 from repro.core.packets import (
     FixedPairsPacketizer,
     Packetizer,
@@ -83,7 +82,7 @@ def serve_segment(n_records: int, cache_bytes: float, monkeypatch) -> tuple[int,
             steps.step()
             return super().__next__()
 
-    for module in (packets_mod, mapside_mod, shuffleside_mod):
+    for module in (packets_mod, mapside_mod):
         monkeypatch.setattr(module, "record_size", counted_record_size)
     monkeypatch.setattr(itertools, "chain", CountedChain)
     segment = [(b"k%08d" % i, b"v") for i in range(n_records)]

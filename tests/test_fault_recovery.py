@@ -78,6 +78,24 @@ def test_crash_before_any_work_still_completes():
     assert_same_output(clean, faulty)
 
 
+def test_reexecution_host_crash_relaunches_the_map():
+    # node02's crash moves its maps onto node01; node01 then dies under
+    # those re-executions, which must relaunch on node00: dropped as
+    # duplicates of themselves, they would leave the job unfinished.
+    clean = run("rdma")
+    at = 0.5 * clean.execution_time
+    plan = FaultPlan(
+        crashes=(
+            NodeCrash(at=at, node="node02"),
+            NodeCrash(at=at + 1.0, node="node01"),
+        ),
+        name="reexec-host-crash",
+    )
+    faulty = run("rdma", fault_plan=plan, **FAST_KNOBS)
+    assert_same_output(clean, faulty)
+    assert faulty.counters["reduce.completed"] == faulty.conf.n_reduces
+
+
 # ---------------------------------------------------------------------------
 # Link flaps: retry/back-off, penalty box, verbs downgrade
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ fault-free total of reduce output bytes, and (c) be bit-repeatable under
 the same seed — fault injection is deterministic chaos, not randomness.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import westmere_cluster
@@ -46,6 +46,7 @@ def clean_result():
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
+@example(seed=323)  # a re-executed map's host crashes under it
 @settings(max_examples=10, deadline=None)
 def test_seeded_plan_completes_with_exact_output(seed):
     clean = clean_result()

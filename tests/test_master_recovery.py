@@ -105,20 +105,7 @@ def test_named_plan_dispatch():
 
 
 def test_master_knob_validation():
-    with pytest.raises(ValueError, match="master_lease_timeout"):
-        terasort_job(
-            1 * GB,
-            3,
-            "http",
-            master_journal=True,
-            master_lease_timeout=0.4,
-            master_heartbeat_interval=0.5,
-        )
-    with pytest.raises(ValueError, match="master_restart_delay"):
-        terasort_job(1 * GB, 3, "http", master_journal=True, master_restart_delay=0.0)
-    # The same bad knobs are inert without the journal switched on.
-    conf = terasort_job(1 * GB, 3, "http", master_restart_delay=0.0)
-    assert not conf.master_active
+    assert not terasort_job(1 * GB, 3, "http").master_active
     assert terasort_job(1 * GB, 3, "http", master_journal=True).master_active
 
 
