@@ -1,7 +1,7 @@
 """Silent-corruption benchmark: the standard corruption plan per engine.
 
-Runs each engine clean, then under
-:func:`repro.faults.standard_corruption_plan` (bit-flipping disks + a
+Runs each engine clean, then under the ``corruption`` family of
+:func:`repro.faults.fault_plan` (bit-flipping disks + a
 rotting writer on one node, corrupting links on another, truncated/stale
 responder serves on a third) on a 3-node cluster, and checks the
 verify-and-recover plane end to end:
@@ -19,7 +19,7 @@ verify-and-recover path across PRs.
 import os
 
 from repro.cluster.presets import westmere_cluster
-from repro.faults import standard_corruption_plan
+from repro.faults import fault_plan
 from repro.mapreduce.driver import run_job
 from repro.mapreduce.job import terasort_job
 from repro.mapreduce.shuffle.base import ENGINES
@@ -73,7 +73,7 @@ def _run_engine(engine: str, data_bytes: float) -> dict:
         westmere_cluster(N_NODES), "ipoib", _conf(engine, data_bytes), seed=SEED
     )
     names = [f"node{i:02d}" for i in range(N_NODES)]
-    plan = standard_corruption_plan(names)
+    plan = fault_plan(["corruption"], names, clean.execution_time)
     corrupted = run_job(
         westmere_cluster(N_NODES),
         "ipoib",

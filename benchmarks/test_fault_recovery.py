@@ -1,8 +1,9 @@
 """Chaos benchmark: the standard fault plan against every shuffle engine.
 
-Runs each engine clean, then under :func:`repro.faults.standard_fault_plan`
-(one node crash mid-shuffle, two link flaps, 5% disk read errors) on a
-3-node cluster, and checks end-to-end recovery:
+Runs each engine clean, then under the ``standard`` family of
+:func:`repro.faults.fault_plan` (one node crash mid-shuffle, two link
+flaps, 5% disk read errors) on a 3-node cluster, and checks end-to-end
+recovery:
 
 * every engine still completes with exactly the fault-free output bytes;
 * the faulty run costs at most ``MAX_SLOWDOWN`` x the clean run;
@@ -16,7 +17,7 @@ so ``tools/bench_trend.py`` tracks fault-recovery cost across PRs.
 import os
 
 from repro.cluster.presets import westmere_cluster
-from repro.faults import standard_fault_plan
+from repro.faults import fault_plan
 from repro.mapreduce.driver import run_job
 from repro.mapreduce.job import terasort_job
 from repro.mapreduce.shuffle.base import ENGINES
@@ -70,7 +71,7 @@ def _run_engine(engine: str, data_bytes: float) -> dict:
     clean = run_job(westmere_cluster(N_NODES), "ipoib", _conf(engine, data_bytes),
                     seed=SEED)
     names = [f"node{i:02d}" for i in range(N_NODES)]
-    plan = standard_fault_plan(names, clean.execution_time)
+    plan = fault_plan(["standard"], names, clean.execution_time)
     faulty = run_job(
         westmere_cluster(N_NODES),
         "ipoib",

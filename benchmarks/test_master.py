@@ -1,8 +1,9 @@
 """Master-resilience benchmark: a mid-job JobTracker crash on every engine.
 
-Runs each engine clean, then under :func:`repro.faults.standard_master_plan`
-(one JobTracker crash at 45% of the fault-free runtime) on a 3-node
-cluster, and checks the full failover story end to end:
+Runs each engine clean, then under the ``master`` family of
+:func:`repro.faults.fault_plan` (one JobTracker crash at 45% of the
+fault-free runtime) on a 3-node cluster, and checks the full failover
+story end to end:
 
 * every engine recovers and commits exactly the fault-free output bytes
   (the journal's commit-once protocol across the crash);
@@ -20,7 +21,7 @@ so ``tools/bench_trend.py`` gates recovery overhead across PRs
 import os
 
 from repro.cluster.presets import westmere_cluster
-from repro.faults import standard_master_plan
+from repro.faults import fault_plan
 from repro.mapreduce.driver import run_job
 from repro.mapreduce.job import terasort_job
 from repro.mapreduce.shuffle.base import ENGINES
@@ -68,7 +69,7 @@ def _run_engine(engine: str, data_bytes: float) -> dict:
         westmere_cluster(N_NODES), "ipoib", _conf(engine, data_bytes), seed=SEED
     )
     names = [f"node{i:02d}" for i in range(N_NODES)]
-    plan = standard_master_plan(names, clean.execution_time)
+    plan = fault_plan(["master"], names, clean.execution_time)
     crashed = run_job(
         westmere_cluster(N_NODES),
         "ipoib",

@@ -78,7 +78,7 @@ def chaos_demo() -> None:
     ``shuffle.retry.*``, and ``ucr.*`` metrics namespaces.
     """
     from repro.cluster import westmere_cluster
-    from repro.faults import standard_fault_plan
+    from repro.faults import fault_plan
     from repro.mapreduce import run_job, terasort_job
 
     GB = 1024**3
@@ -91,8 +91,8 @@ def chaos_demo() -> None:
 
     print("\nChaos: simulated 1 GB TeraSort on 3 nodes, OSU-IB engine ...")
     clean = sim_run()
-    plan = standard_fault_plan(
-        [f"node{i:02d}" for i in range(n_nodes)], clean.execution_time
+    plan = fault_plan(
+        ["standard"], [f"node{i:02d}" for i in range(n_nodes)], clean.execution_time
     )
     faulty = sim_run(
         fault_plan=plan,
@@ -195,7 +195,7 @@ def integrity_demo() -> None:
     ``integrity.*`` namespace.
     """
     from repro.cluster import westmere_cluster
-    from repro.faults import standard_corruption_plan
+    from repro.faults import fault_plan
     from repro.mapreduce import run_job, terasort_job
 
     GB = 1024**3
@@ -208,7 +208,9 @@ def integrity_demo() -> None:
 
     print("\nIntegrity: simulated 1 GB TeraSort under silent corruption ...")
     clean = sim_run()
-    plan = standard_corruption_plan([f"node{i:02d}" for i in range(n_nodes)])
+    plan = fault_plan(
+        ["corruption"], [f"node{i:02d}" for i in range(n_nodes)], clean.execution_time
+    )
     corrupted = sim_run(
         fault_plan=plan,
         fetch_backoff_base=0.2,

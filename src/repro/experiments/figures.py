@@ -65,9 +65,10 @@ def _grid_point(
 ) -> JobResult:
     """One figure grid point (module-level: spawn-safe for sweep workers).
 
-    ``fault_plan`` names a standard seeded plan (``--fault-plan`` on the
-    CLI): the point first runs fault-free to measure the runtime hint the
-    plan's windows scale off, then re-runs under the plan.
+    ``fault_plan`` is a comma-separated list of fault families
+    (``--fault-plan`` on the CLI): the point first runs fault-free to
+    measure the runtime hint the windows scale off, then re-runs under
+    the union of those families' fixed benchmark schedules.
     """
     conf = _WORKLOADS[workload](size_bytes, n_nodes, engine, **(overrides or {}))
     nodes = westmere_cluster(n_nodes, n_disks=n_disks, node_kind=node_kind)
@@ -75,10 +76,10 @@ def _grid_point(
         return run_job(nodes, fabric, conf, seed=seed)
     import dataclasses
 
-    from repro.faults import named_plan
+    from repro import faults
 
     hint = run_job(nodes, fabric, conf, seed=seed).execution_time
-    plan = named_plan(fault_plan, [n.name for n in nodes], hint)
+    plan = faults.fault_plan(fault_plan.split(","), [n.name for n in nodes], hint)
     return run_job(
         nodes, fabric, dataclasses.replace(conf, fault_plan=plan), seed=seed
     )

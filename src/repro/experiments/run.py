@@ -6,6 +6,7 @@ Examples::
     python -m repro.experiments.run --all --scale 0.1 --workers 4
     python -m repro.experiments.run --figure fig8 --out results/
     python -m repro.experiments.run --figure fig6a --scale 0.05 --profile
+    python -m repro.experiments.run --figure fig8 --fault-plan standard,master
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 from repro.experiments.calibration import PAPER_CLAIMS
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.report import FigureResult
+from repro.faults import FAMILIES, check_families
 from repro.tools.profiling import maybe_profile
 
 
@@ -41,6 +43,15 @@ def _claims(fig: FigureResult) -> list[str]:
     return out
 
 
+def _families(text: str) -> str:
+    """Check a comma-separated ``--fault-plan`` family list."""
+    try:
+        check_families(text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--figure", choices=sorted(ALL_FIGURES), action="append")
@@ -61,10 +72,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--fault-plan",
-        choices=["standard", "corruption", "slowdown", "master"],
-        help="run every grid point under a named seeded fault plan "
-        "(each point probes fault-free first for the runtime hint the "
-        "plan's windows scale off)",
+        type=_families,
+        metavar="FAMILY[,FAMILY...]",
+        help="run every grid point under the union of these fault families' "
+        f"fixed benchmark schedules ({', '.join(FAMILIES)}); each point "
+        "first runs fault-free for the runtime hint the windows scale off",
     )
     parser.add_argument("--out", type=Path, help="directory for .txt tables")
     parser.add_argument(

@@ -60,8 +60,13 @@ on the dead node with cause ``"node-crash"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import functools
+import operator
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.sim.core import Simulator
 from repro.sim.monitor import Counter
@@ -72,6 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DiskCorruption",
     "DiskSlowdown",
+    "FAMILIES",
     "FaultError",
     "FaultInjector",
     "FaultPlan",
@@ -84,15 +90,8 @@ __all__ = [
     "ResponderStall",
     "SegmentFault",
     "WireCorruption",
-    "named_plan",
-    "seeded_corruption_plan",
-    "seeded_fault_plan",
-    "seeded_master_plan",
-    "seeded_slowdown_plan",
-    "standard_corruption_plan",
-    "standard_fault_plan",
-    "standard_master_plan",
-    "standard_slowdown_plan",
+    "check_families",
+    "fault_plan",
 ]
 
 
@@ -258,26 +257,34 @@ class MasterStall:
     duration: float
 
 
-def _validated(field: str, entries, check) -> None:
-    """Run ``check(entry)`` over ``entries``; re-raise naming the offender.
+def _check_entry(entry) -> None:
+    """Raise ``ValueError`` if any field of one plan entry is out of range.
 
-    A bad entry deep in a long plan used to report only the failing
-    field value; now every validation error reads like
-    ``crashes[2] (NodeCrash): fault time -1.0 is negative`` so the
-    offending entry can be found without bisecting the plan by hand.
+    Each check applies to every entry kind that has the field, so a new
+    kind is validated by the fields it shares with the existing ones.
     """
-    for i, entry in enumerate(entries):
-        try:
-            check(entry)
-        except ValueError as exc:
-            raise ValueError(
-                f"{field}[{i}] ({type(entry).__name__}): {exc}"
-            ) from None
+    if getattr(entry, "at", 0.0) < 0:
+        raise ValueError(f"fault time {entry.at} is negative")
+    if getattr(entry, "duration", 1.0) <= 0:
+        raise ValueError(f"non-positive window duration {entry.duration}")
+    if getattr(entry, "factor", 1.0) <= 0:
+        raise ValueError(f"non-positive degradation factor {entry.factor}")
+    if not 0.0 <= getattr(entry, "rate", 0.0) < 1.0:
+        raise ValueError(f"corruption rate {entry.rate} not in [0, 1)")
+    if not 0.0 <= getattr(entry, "rot_rate", 0.0) < 1.0:
+        raise ValueError(f"rot_rate {entry.rot_rate} not in [0, 1)")
+    if getattr(entry, "kind", "truncated") not in ("truncated", "stale"):
+        raise ValueError(f"unknown segment fault kind {entry.kind!r}")
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A complete, hashable fault schedule (safe inside the frozen JobConf)."""
+    """A complete, hashable fault schedule (safe inside the frozen JobConf).
+
+    Every field but ``name`` is either a tuple of entries or a rate, and
+    ``empty``, ``nodes_referenced`` and ``|`` are derived from the field
+    list, so a new entry kind is covered by all three once it is a field.
+    """
 
     crashes: tuple[NodeCrash, ...] = ()
     flaps: tuple[LinkFlap, ...] = ()
@@ -308,69 +315,51 @@ class FaultPlan:
             rate = getattr(self, field)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{field} {rate} not in [0, 1]")
+        # Errors name the offending entry, e.g.
+        # ``crashes[2] (NodeCrash): fault time -1.0 is negative``.
+        for field, entries in self._entry_fields():
+            for i, entry in enumerate(entries):
+                try:
+                    _check_entry(entry)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{field}[{i}] ({type(entry).__name__}): {exc}"
+                    ) from None
 
-        def nonneg_at(e):
-            if e.at < 0:
-                raise ValueError(f"fault time {e.at} is negative")
+    def _entry_fields(self) -> list[tuple[str, tuple]]:
+        """``(field name, entries)`` for every tuple-of-entries field."""
+        return [
+            (f.name, getattr(self, f.name))
+            for f in fields(self)
+            if isinstance(f.default, tuple)
+        ]
 
-        def positive_duration(e):
-            if e.duration <= 0:
-                raise ValueError(f"non-positive window duration {e.duration}")
+    def __or__(self, other: FaultPlan) -> FaultPlan:
+        """Both plans' faults in one plan.
 
-        def positive_factor(e):
-            if e.factor <= 0:
-                raise ValueError(f"non-positive degradation factor {e.factor}")
-
-        def valid_rate(e):
-            if not 0.0 <= e.rate < 1.0:
-                raise ValueError(f"corruption rate {e.rate} not in [0, 1)")
-
-        def valid_rot(e):
-            if not 0.0 <= e.rot_rate < 1.0:
-                raise ValueError(f"rot_rate {e.rot_rate} not in [0, 1)")
-
-        def valid_kind(e):
-            if e.kind not in ("truncated", "stale"):
-                raise ValueError(f"unknown segment fault kind {e.kind!r}")
-
-        timed = {
-            "crashes": self.crashes,
-            "flaps": self.flaps,
-            "stalls": self.stalls,
-            "slowdowns": self.slowdowns,
-            "link_degrades": self.link_degrades,
-            "disk_slowdowns": self.disk_slowdowns,
-            "master_crashes": self.master_crashes,
-            "master_stalls": self.master_stalls,
-        }
-        for field, entries in timed.items():
-            _validated(field, entries, nonneg_at)
-        for field in ("flaps", "stalls", "master_stalls"):
-            _validated(field, timed[field], positive_duration)
-        for field in ("slowdowns", "link_degrades", "disk_slowdowns"):
-            _validated(field, timed[field], positive_duration)
-            _validated(field, timed[field], positive_factor)
-        for field, entries in (
-            ("disk_corruptions", self.disk_corruptions),
-            ("wire_corruptions", self.wire_corruptions),
-            ("segment_faults", self.segment_faults),
-        ):
-            _validated(field, entries, valid_rate)
-        _validated("disk_corruptions", self.disk_corruptions, valid_rot)
-        _validated("segment_faults", self.segment_faults, valid_kind)
+        Entry tuples concatenate and names join with ``+``.  A rate that
+        both sides set to different non-zero values is a conflict, not a
+        sum: it raises ``ValueError``.
+        """
+        if not isinstance(other, FaultPlan):
+            return NotImplemented
+        merged = {}
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.name == "name":
+                merged[f.name] = f"{mine}+{theirs}"
+            elif isinstance(mine, tuple):
+                merged[f.name] = mine + theirs
+            elif mine and theirs and mine != theirs:
+                raise ValueError(f"{f.name} conflict: {mine} vs {theirs}")
+            else:
+                merged[f.name] = mine or theirs
+        return FaultPlan(**merged)
 
     @property
     def empty(self) -> bool:
-        return not (
-            self.crashes
-            or self.flaps
-            or self.stalls
-            or self.disk_error_rate > 0
-            or self.map_failure_rate > 0
-            or self.reduce_failure_rate > 0
-            or self.has_corruption
-            or self.has_degradation
-            or self.has_master_faults
+        return not any(
+            getattr(self, f.name) for f in fields(self) if f.name != "name"
         )
 
     @property
@@ -388,257 +377,173 @@ class FaultPlan:
         return bool(self.master_crashes or self.master_stalls)
 
     def nodes_referenced(self) -> set[str]:
-        """Every node any entry names — crashes, windows, corruption,
-        *and* degradation.
+        """Every node any entry names.
 
         ``FaultInjector`` validates this set against the cluster, so a
         typo'd node in any entry kind fails fast instead of silently
-        never firing.  Master entries are covered by construction: they
-        carry no ``node`` field (the JobTracker is a control-plane
-        process, not a DataNode), so there is no name to typo.
+        never firing.  Master entries carry no ``node`` field (the
+        JobTracker is a control-plane process, not a DataNode), so there
+        is no name of theirs to typo.
         """
         return {
-            f.node
-            for f in (
-                *self.crashes,
-                *self.flaps,
-                *self.stalls,
-                *self.disk_corruptions,
-                *self.wire_corruptions,
-                *self.segment_faults,
-                *self.slowdowns,
-                *self.link_degrades,
-                *self.disk_slowdowns,
-            )
+            entry.node
+            for _, entries in self._entry_fields()
+            for entry in entries
+            if hasattr(entry, "node")
         }
 
 
-def standard_fault_plan(
-    node_names: Sequence[str],
-    runtime_hint: float,
-    disk_error_rate: float = 0.05,
-    name: str = "standard",
-) -> FaultPlan:
-    """The chaos-benchmark schedule: 1 crash mid-shuffle + 2 link flaps.
+def _pick(nodes: list[str], rng: np.random.Generator) -> str:
+    return nodes[int(rng.integers(0, len(nodes)))]
 
-    Fault times are fractions of ``runtime_hint`` — a measured fault-free
-    runtime — so the same plan shape scales with ``REPRO_BENCH_SCALE``.
-    The last node crashes at 55% of the run (maps have completed there and
-    reducers are mid-shuffle); two earlier/later flaps hit surviving nodes.
+
+def _standard_family(
+    nodes: list[str], hint: float, rng: np.random.Generator | None
+) -> FaultPlan:
+    """Node crashes, link flaps, responder stalls and disk read errors.
+
+    Fixed: the last node crashes at 55% of the run (maps have completed
+    there and reducers are mid-shuffle), two flaps hit surviving nodes
+    at 35% and 70%, and 5% of provider-side segment reads fail.  Drawn:
+    at most one crash (so a node always survives), up to two flaps, up
+    to one stall, and half the time a disk error rate below 8%.
     """
-    nodes = list(node_names)
-    if len(nodes) < 2:
-        raise ValueError("standard_fault_plan needs >= 2 nodes (1 must survive)")
-    if runtime_hint <= 0:
-        raise ValueError(f"runtime_hint must be positive, got {runtime_hint}")
-    survivors = nodes[:-1]
-    flap_len = 0.06 * runtime_hint
-    return FaultPlan(
-        crashes=(NodeCrash(at=0.55 * runtime_hint, node=nodes[-1]),),
-        flaps=(
-            LinkFlap(at=0.35 * runtime_hint, node=survivors[0], duration=flap_len),
-            LinkFlap(
-                at=0.70 * runtime_hint,
-                node=survivors[len(survivors) // 2],
-                duration=flap_len,
+    if rng is None:
+        survivors = nodes[:-1]
+        flap_len = 0.06 * hint
+        return FaultPlan(
+            crashes=(NodeCrash(at=0.55 * hint, node=nodes[-1]),),
+            flaps=(
+                LinkFlap(at=0.35 * hint, node=survivors[0], duration=flap_len),
+                LinkFlap(
+                    at=0.70 * hint,
+                    node=survivors[len(survivors) // 2],
+                    duration=flap_len,
+                ),
             ),
-        ),
-        disk_error_rate=disk_error_rate,
-        name=name,
-    )
-
-
-def seeded_fault_plan(
-    seed: int, node_names: Sequence[str], runtime_hint: float
-) -> FaultPlan:
-    """A randomized-but-reproducible plan (property tests): same seed, same plan."""
-    import numpy as np
-
-    nodes = list(node_names)
-    if len(nodes) < 2:
-        raise ValueError("seeded_fault_plan needs >= 2 nodes")
-    rng = np.random.default_rng(seed)
+            disk_error_rate=0.05,
+        )
     crashes: tuple[NodeCrash, ...] = ()
-    if rng.uniform() < 0.5:  # at most one crash: >= 1 node always survives
-        victim = nodes[int(rng.integers(0, len(nodes)))]
-        crashes = (NodeCrash(at=float(rng.uniform(0.3, 0.7)) * runtime_hint, node=victim),)
+    if rng.uniform() < 0.5:
+        victim = _pick(nodes, rng)
+        crashes = (NodeCrash(at=float(rng.uniform(0.3, 0.7)) * hint, node=victim),)
     flaps = tuple(
         LinkFlap(
-            at=float(rng.uniform(0.1, 0.8)) * runtime_hint,
-            node=nodes[int(rng.integers(0, len(nodes)))],
-            duration=float(rng.uniform(0.02, 0.10)) * runtime_hint,
+            at=float(rng.uniform(0.1, 0.8)) * hint,
+            node=_pick(nodes, rng),
+            duration=float(rng.uniform(0.02, 0.10)) * hint,
         )
         for _ in range(int(rng.integers(0, 3)))
     )
     stalls = tuple(
         ResponderStall(
-            at=float(rng.uniform(0.1, 0.8)) * runtime_hint,
-            node=nodes[int(rng.integers(0, len(nodes)))],
-            duration=float(rng.uniform(0.03, 0.12)) * runtime_hint,
+            at=float(rng.uniform(0.1, 0.8)) * hint,
+            node=_pick(nodes, rng),
+            duration=float(rng.uniform(0.03, 0.12)) * hint,
         )
         for _ in range(int(rng.integers(0, 2)))
     )
     disk_rate = float(rng.uniform(0.0, 0.08)) if rng.uniform() < 0.5 else 0.0
     return FaultPlan(
-        crashes=crashes,
-        flaps=flaps,
-        stalls=stalls,
-        disk_error_rate=disk_rate,
-        name=f"seeded-{seed}",
+        crashes=crashes, flaps=flaps, stalls=stalls, disk_error_rate=disk_rate
     )
 
 
-def standard_corruption_plan(
-    node_names: Sequence[str],
-    disk_rate: float = 0.15,
-    rot_rate: float = 0.2,
-    wire_rate: float = 0.015,
-    segment_rate: float = 0.05,
-    name: str = "corruption",
+def _corruption_family(
+    nodes: list[str], hint: float, rng: np.random.Generator | None
 ) -> FaultPlan:
-    """The corruption-benchmark schedule: one hop of each kind goes bad.
+    """Silent corruption on disk, on the wire and in served segments.
 
-    The last node's disks flip bits on reads and rot a fraction of the
-    map outputs they commit (forcing condemnation + re-execution), the
-    first node's links corrupt packets in flight, and a middle node's
-    responders serve truncated/stale segments.  No crashes or flaps —
-    every byte of slowdown in ``BENCH_integrity`` is detection and
-    recovery, nothing else.
+    Fixed: the last node's disks flip bits on 15% of reads and rot 20%
+    of the map outputs they commit (forcing condemnation and
+    re-execution), the first node's links corrupt 1.5% of packets, and
+    a middle node's responders serve truncated or stale segments.
+    Nothing crashes, so every second of slowdown is detection and
+    recovery.  Drawn: up to two entries of each kind on any nodes.
     """
-    nodes = list(node_names)
-    if len(nodes) < 2:
-        raise ValueError("standard_corruption_plan needs >= 2 nodes")
-    middle = nodes[len(nodes) // 2]
-    return FaultPlan(
-        disk_corruptions=(
-            DiskCorruption(node=nodes[-1], rate=disk_rate, rot_rate=rot_rate),
-        ),
-        wire_corruptions=(WireCorruption(node=nodes[0], rate=wire_rate),),
-        segment_faults=(
-            SegmentFault(node=middle, rate=segment_rate, kind="truncated"),
-            SegmentFault(node=middle, rate=segment_rate / 2, kind="stale"),
-        ),
-        name=name,
-    )
-
-
-def seeded_corruption_plan(seed: int, node_names: Sequence[str]) -> FaultPlan:
-    """A randomized-but-reproducible corruption plan: same seed, same plan."""
-    import numpy as np
-
-    nodes = list(node_names)
-    if len(nodes) < 2:
-        raise ValueError("seeded_corruption_plan needs >= 2 nodes")
-    rng = np.random.default_rng(seed)
+    del hint  # corruption entries are rates, not windows
+    if rng is None:
+        middle = nodes[len(nodes) // 2]
+        return FaultPlan(
+            disk_corruptions=(DiskCorruption(node=nodes[-1], rate=0.15, rot_rate=0.2),),
+            wire_corruptions=(WireCorruption(node=nodes[0], rate=0.015),),
+            segment_faults=(
+                SegmentFault(node=middle, rate=0.05, kind="truncated"),
+                SegmentFault(node=middle, rate=0.05 / 2, kind="stale"),
+            ),
+        )
     disks = tuple(
         DiskCorruption(
-            node=nodes[int(rng.integers(0, len(nodes)))],
+            node=_pick(nodes, rng),
             rate=float(rng.uniform(0.0, 0.3)),
             rot_rate=float(rng.uniform(0.0, 0.25)) if rng.uniform() < 0.5 else 0.0,
         )
         for _ in range(int(rng.integers(0, 3)))
     )
     wires = tuple(
-        WireCorruption(
-            node=nodes[int(rng.integers(0, len(nodes)))],
-            rate=float(rng.uniform(0.0, 0.04)),
-        )
+        WireCorruption(node=_pick(nodes, rng), rate=float(rng.uniform(0.0, 0.04)))
         for _ in range(int(rng.integers(0, 3)))
     )
     segments = tuple(
         SegmentFault(
-            node=nodes[int(rng.integers(0, len(nodes)))],
+            node=_pick(nodes, rng),
             rate=float(rng.uniform(0.0, 0.1)),
             kind="truncated" if rng.uniform() < 0.5 else "stale",
         )
         for _ in range(int(rng.integers(0, 3)))
     )
     return FaultPlan(
-        disk_corruptions=disks,
-        wire_corruptions=wires,
-        segment_faults=segments,
-        name=f"seeded-corruption-{seed}",
+        disk_corruptions=disks, wire_corruptions=wires, segment_faults=segments
     )
 
 
-def standard_slowdown_plan(
-    node_names: Sequence[str],
-    runtime_hint: float,
-    cpu_factor: float = 3.0,
-    disk_factor: float = 2.5,
-    link_factor: float = 4.0,
-    name: str = "slowdown",
+def _slowdown_family(
+    nodes: list[str], hint: float, rng: np.random.Generator | None
 ) -> FaultPlan:
-    """The straggler-benchmark schedule: one node gets sick, nothing fails.
+    """Stragglers: sick nodes whose CPU, disks and NIC slow down.
 
-    The last node's CPU and disks degrade from 5% of the run almost to the
-    end, and its NIC loses most of its bandwidth for the middle stretch —
-    the classic "one bad host" tail-latency scenario.  Without speculation
-    every attempt placed there (and every fetch of a map output hosted
-    there) drags the job; with it, backups on healthy nodes win the race.
+    Fixed: the last node's CPU (3x) and disks (2.5x) degrade from 5% of
+    the run until well past its end, and its NIC loses 3/4 of its
+    bandwidth for the middle stretch.  Drawn: one or two sick nodes,
+    never the first, so a healthy backup target exists.  Nothing fails;
+    the attempts just lag, which is what speculation must catch.
     """
-    nodes = list(node_names)
-    if len(nodes) < 2:
-        raise ValueError("standard_slowdown_plan needs >= 2 nodes (1 must be healthy)")
-    if runtime_hint <= 0:
-        raise ValueError(f"runtime_hint must be positive, got {runtime_hint}")
-    sick = nodes[-1]
-    onset = 0.05 * runtime_hint
-    window = 2.0 * runtime_hint  # outlasts the stretched run
-    return FaultPlan(
-        slowdowns=(NodeSlowdown(at=onset, node=sick, duration=window, factor=cpu_factor),),
-        disk_slowdowns=(
-            DiskSlowdown(at=onset, node=sick, duration=window, factor=disk_factor),
-        ),
-        link_degrades=(
-            LinkDegrade(
-                at=0.30 * runtime_hint,
-                node=sick,
-                duration=0.5 * runtime_hint,
-                factor=link_factor,
+    if rng is None:
+        sick = nodes[-1]
+        onset = 0.05 * hint
+        window = 2.0 * hint  # outlasts the stretched run
+        return FaultPlan(
+            slowdowns=(NodeSlowdown(at=onset, node=sick, duration=window, factor=3.0),),
+            disk_slowdowns=(
+                DiskSlowdown(at=onset, node=sick, duration=window, factor=2.5),
             ),
-        ),
-        name=name,
-    )
-
-
-def seeded_slowdown_plan(
-    seed: int, node_names: Sequence[str], runtime_hint: float
-) -> FaultPlan:
-    """A randomized-but-reproducible degradation plan: same seed, same plan.
-
-    Always leaves the first node untouched so a healthy backup target
-    exists, and draws 1–2 sick nodes with independent CPU/disk/link
-    windows inside the run.
-    """
-    import numpy as np
-
-    nodes = list(node_names)
-    if len(nodes) < 2:
-        raise ValueError("seeded_slowdown_plan needs >= 2 nodes")
-    rng = np.random.default_rng(seed)
+            link_degrades=(
+                LinkDegrade(at=0.30 * hint, node=sick, duration=0.5 * hint, factor=4.0),
+            ),
+        )
     candidates = nodes[1:]
     n_sick = int(rng.integers(1, min(2, len(candidates)) + 1))
-    sick = [candidates[int(i)] for i in rng.choice(len(candidates), n_sick, replace=False)]
+    picks = rng.choice(len(candidates), n_sick, replace=False)
+    sick = [candidates[int(i)] for i in picks]
     slowdowns = []
     disk_slowdowns = []
     link_degrades = []
     for node in sick:
-        start = float(rng.uniform(0.0, 0.3)) * runtime_hint
-        dur = float(rng.uniform(0.8, 2.0)) * runtime_hint
-        slowdowns.append(
-            NodeSlowdown(at=start, node=node, duration=dur, factor=float(rng.uniform(2.0, 4.0)))
-        )
+        start = float(rng.uniform(0.0, 0.3)) * hint
+        dur = float(rng.uniform(0.8, 2.0)) * hint
+        factor = float(rng.uniform(2.0, 4.0))
+        slowdowns.append(NodeSlowdown(at=start, node=node, duration=dur, factor=factor))
         if rng.uniform() < 0.7:
+            factor = float(rng.uniform(1.5, 3.0))
             disk_slowdowns.append(
-                DiskSlowdown(at=start, node=node, duration=dur, factor=float(rng.uniform(1.5, 3.0)))
+                DiskSlowdown(at=start, node=node, duration=dur, factor=factor)
             )
         if rng.uniform() < 0.5:
             link_degrades.append(
                 LinkDegrade(
-                    at=float(rng.uniform(0.1, 0.5)) * runtime_hint,
+                    at=float(rng.uniform(0.1, 0.5)) * hint,
                     node=node,
-                    duration=float(rng.uniform(0.2, 0.6)) * runtime_hint,
+                    duration=float(rng.uniform(0.2, 0.6)) * hint,
                     factor=float(rng.uniform(2.0, 6.0)),
                 )
             )
@@ -646,84 +551,88 @@ def seeded_slowdown_plan(
         slowdowns=tuple(slowdowns),
         disk_slowdowns=tuple(disk_slowdowns),
         link_degrades=tuple(link_degrades),
-        name=f"seeded-slowdown-{seed}",
     )
 
 
-def standard_master_plan(
+def _master_family(
+    nodes: list[str], hint: float, rng: np.random.Generator | None
+) -> FaultPlan:
+    """JobTracker crashes and stalls (control plane; no node is named).
+
+    Fixed: one crash at 45% of the run, when maps are largely done and
+    reducers are mid-shuffle, so recovery must re-register committed map
+    outputs *and* reschedule in-flight reduces without double-committing
+    any.  Drawn: a crash, or a stall whose length straddles realistic
+    lease timeouts (some are survived in place, others fail over).
+    """
+    del nodes  # the master is a control-plane process, not a DataNode
+    if rng is None:
+        return FaultPlan(master_crashes=(MasterCrash(at=0.45 * hint),))
+    at = float(rng.uniform(0.25, 0.7)) * hint
+    if rng.uniform() < 0.6:
+        return FaultPlan(master_crashes=(MasterCrash(at=at),))
+    duration = float(rng.uniform(0.05, 0.5)) * hint
+    return FaultPlan(master_stalls=(MasterStall(at=at, duration=duration),))
+
+
+#: The fault families, by their ``--fault-plan`` names.  A drawer takes
+#: the node names, the runtime hint and a numpy generator; with no
+#: generator it returns the family's fixed benchmark schedule.
+FAMILIES: dict[
+    str, Callable[[list[str], float, np.random.Generator | None], FaultPlan]
+] = {
+    "standard": _standard_family,
+    "corruption": _corruption_family,
+    "slowdown": _slowdown_family,
+    "master": _master_family,
+}
+
+
+def check_families(families: Iterable[str]) -> list[str]:
+    """Return ``families`` as a list of distinct :data:`FAMILIES` keys.
+
+    Raises ``ValueError`` for an unknown, repeated or missing family.
+    """
+    families = list(families)
+    unknown = [f for f in families if f not in FAMILIES]
+    if unknown or not families:
+        raise ValueError(
+            f"unknown fault families {unknown}; pick from {sorted(FAMILIES)}"
+        )
+    if len(set(families)) < len(families):
+        raise ValueError(f"a fault family is listed twice in {families}")
+    return families
+
+
+def fault_plan(
+    families: Iterable[str],
     node_names: Sequence[str],
     runtime_hint: float,
-    name: str = "master",
+    seed: int | None = None,
 ) -> FaultPlan:
-    """The master-resilience benchmark schedule: one JobTracker crash.
+    """The union of the named families' plans on ``node_names``.
 
-    The crash lands at 45% of the fault-free runtime — maps are largely
-    done and reducers are mid-shuffle, so recovery must re-register the
-    committed map outputs from TaskTracker storage *and* reschedule the
-    in-flight reduces without double-committing any that finished.
-    ``node_names`` is accepted for signature parity with the other
-    standard plans (master entries name no node).
+    Fault times are fractions of ``runtime_hint``, a measured fault-free
+    runtime, so a plan keeps its shape at any dataset scale.  With no
+    ``seed`` each family gives its fixed benchmark schedule.  With a seed
+    each family draws from its own ``np.random.default_rng(seed)``, so
+    adding a family never shifts another family's draws.  Each family's
+    part is named ``<family>`` (``<family>-<seed>`` when drawn) and the
+    parts are joined with ``|``.
     """
+    families = check_families(families)
+    nodes = list(node_names)
+    if len(nodes) < 2:
+        raise ValueError(f"a fault plan needs >= 2 nodes (1 must survive): {nodes}")
     if runtime_hint <= 0:
         raise ValueError(f"runtime_hint must be positive, got {runtime_hint}")
-    del node_names  # master faults are control-plane; no node to pick
-    return FaultPlan(
-        master_crashes=(MasterCrash(at=0.45 * runtime_hint),),
-        name=name,
-    )
-
-
-def seeded_master_plan(
-    seed: int, node_names: Sequence[str], runtime_hint: float
-) -> FaultPlan:
-    """A randomized-but-reproducible master plan: same seed, same plan.
-
-    Draws either a mid-job crash or a stall; stall durations straddle
-    realistic lease timeouts so some seeds are survived in place and
-    others trigger the full fence-and-restart failover.
-    """
-    import numpy as np
-
-    del node_names
-    if runtime_hint <= 0:
-        raise ValueError(f"runtime_hint must be positive, got {runtime_hint}")
-    rng = np.random.default_rng(seed)
-    at = float(rng.uniform(0.25, 0.7)) * runtime_hint
-    if rng.uniform() < 0.6:
-        return FaultPlan(
-            master_crashes=(MasterCrash(at=at),),
-            name=f"seeded-master-{seed}",
-        )
-    return FaultPlan(
-        master_stalls=(
-            MasterStall(at=at, duration=float(rng.uniform(0.05, 0.5)) * runtime_hint),
-        ),
-        name=f"seeded-master-{seed}",
-    )
-
-
-def named_plan(
-    name: str, node_names: Sequence[str], runtime_hint: float
-) -> FaultPlan:
-    """Build one of the standard plans by name (the ``--fault-plan`` CLI).
-
-    ``standard`` is the crash+flap chaos schedule, ``corruption`` the
-    silent-data-corruption schedule, ``slowdown`` the straggler schedule,
-    ``master`` the JobTracker-crash schedule.  All scale their windows
-    off ``runtime_hint`` (a measured fault-free runtime) where relevant.
-    """
-    builders: dict[str, Callable[[], FaultPlan]] = {
-        "standard": lambda: standard_fault_plan(node_names, runtime_hint),
-        "corruption": lambda: standard_corruption_plan(node_names),
-        "slowdown": lambda: standard_slowdown_plan(node_names, runtime_hint),
-        "master": lambda: standard_master_plan(node_names, runtime_hint),
-    }
-    try:
-        return builders[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown plan name {name!r}; pick from {sorted(builders)}"
-        ) from None
+    plans = []
+    for family in families:
+        rng = None if seed is None else np.random.default_rng(seed)
+        plan = FAMILIES[family](nodes, runtime_hint, rng)
+        name = family if seed is None else f"{family}-{seed}"
+        plans.append(dataclasses.replace(plan, name=name))
+    return functools.reduce(operator.or_, plans)
 
 
 class FaultInjector:

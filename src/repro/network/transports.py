@@ -74,7 +74,7 @@ class TransportSpec:
     os_bypass: bool
 
     def scaled(self, **overrides: Any) -> "TransportSpec":
-        """A copy with selected fields overridden (for sensitivity sweeps)."""
+        """A copy with selected fields overridden."""
         return replace(self, **overrides)
 
     def wire_bytes(self, payload: float) -> float:

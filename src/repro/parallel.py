@@ -1,8 +1,7 @@
 """Parallel sweep execution: fan independent seeded runs across processes.
 
 Every experiment grid in this repository — the paper figures, the
-sensitivity sweeps, the calibration claim checks, the static-control
-benchmark grid — is a loop of *independent* simulations: each point
+calibration claim checks, the static-control benchmark grid — is a loop of *independent* simulations: each point
 builds its own cluster, its own :class:`~repro.sim.core.Simulator`, and
 its own RNG streams from an explicit seed.  Nothing is shared, so the
 points can run in worker processes with **bit-identical** results; only

@@ -16,7 +16,7 @@ Public surface:
 * :class:`Container` — continuous quantity (memory bytes, buffer credits).
 * :class:`Store`, :class:`PriorityStore`, :class:`FilterStore` — object
   queues (request queues, mailboxes).
-* :class:`repro.sim.monitor.Monitor` and friends — time-series statistics.
+* :class:`Counter`, :class:`UtilizationTracker` — run statistics.
 """
 
 from repro.sim.core import (
@@ -29,7 +29,7 @@ from repro.sim.core import (
     Simulator,
     Timeout,
 )
-from repro.sim.monitor import Counter, Monitor, UtilizationTracker
+from repro.sim.monitor import Counter, UtilizationTracker
 from repro.sim.resources import (
     Container,
     FilterStore,
@@ -48,7 +48,6 @@ __all__ = [
     "Event",
     "FilterStore",
     "Interrupted",
-    "Monitor",
     "PriorityResource",
     "PriorityStore",
     "Process",

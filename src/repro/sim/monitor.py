@@ -1,24 +1,20 @@
 """Statistics collection for simulation runs.
 
-Three collectors cover everything the experiment harness reports:
+Two collectors cover everything the experiment harness reports:
 
 * :class:`Counter` — monotonically increasing named tallies (bytes shuffled,
   cache hits/misses, spills, packets).
-* :class:`Monitor` — a time-stamped series of samples with summary
-  statistics (queue lengths, buffer levels).
 * :class:`UtilizationTracker` — integrates a piecewise-constant "busy"
   level over time to report utilisation of a device (disk, NIC, CPU).
 """
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
-from typing import Any
 
 from repro.sim.core import Simulator
 
-__all__ = ["Counter", "Monitor", "UtilizationTracker"]
+__all__ = ["Counter", "UtilizationTracker"]
 
 
 class Counter:
@@ -55,69 +51,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Counter({dict(self._values)!r})"
-
-
-class Monitor:
-    """A time-stamped sample series.
-
-    ``record`` appends ``(sim.now, value)``.  Summary statistics treat the
-    series as point samples (mean/min/max) and additionally expose a
-    time-weighted mean for piecewise-constant signals.
-    """
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self.times: list[float] = []
-        self.values: list[float] = []
-
-    def record(self, value: float) -> None:
-        self.times.append(self.sim.now)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def mean(self) -> float:
-        if not self.values:
-            return math.nan
-        return sum(self.values) / len(self.values)
-
-    @property
-    def minimum(self) -> float:
-        return min(self.values) if self.values else math.nan
-
-    @property
-    def maximum(self) -> float:
-        return max(self.values) if self.values else math.nan
-
-    def time_weighted_mean(self, until: float | None = None) -> float:
-        """Mean of the signal assuming it holds each value until the next
-        sample (and until ``until`` — default: current time — for the last).
-        """
-        if not self.values:
-            return math.nan
-        end = self.sim.now if until is None else until
-        total = 0.0
-        span = end - self.times[0]
-        if span <= 0:
-            return self.values[-1]
-        for i, value in enumerate(self.values):
-            t0 = self.times[i]
-            t1 = self.times[i + 1] if i + 1 < len(self.times) else end
-            total += value * max(0.0, t1 - t0)
-        return total / span
-
-    def metrics_snapshot(self) -> dict[str, float]:
-        """Flat view for :class:`repro.obs.registry.MetricsRegistry`."""
-        return {
-            "n": float(len(self.values)),
-            "mean": self.mean,
-            "min": self.minimum,
-            "max": self.maximum,
-            "time_weighted_mean": self.time_weighted_mean(),
-        }
 
 
 class UtilizationTracker:
@@ -173,19 +106,3 @@ class UtilizationTracker:
         """Flat view for :class:`repro.obs.registry.MetricsRegistry`."""
         return {"utilization": self.utilization(), "busy_time": self.busy_time}
 
-
-def summarize(values: list[float]) -> dict[str, Any]:
-    """Summary statistics helper used by experiment reports."""
-    if not values:
-        return {"n": 0, "mean": math.nan, "min": math.nan, "max": math.nan}
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    median = ordered[mid] if n % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
-    return {
-        "n": n,
-        "mean": sum(ordered) / n,
-        "min": ordered[0],
-        "max": ordered[-1],
-        "median": median,
-    }

@@ -3,13 +3,15 @@
 
 import pytest
 
-from repro.experiments import fig8, improvement
+from repro.experiments import fig8, figures, improvement
 from repro.experiments.calibration import PAPER_CLAIMS
 from repro.experiments.figures import ALL_FIGURES, fig6a
 from repro.experiments.report import FigureResult, Series, render_table
 from repro.experiments.run import main as run_main
 from repro.mapreduce import terasort_job
 from repro.mapreduce.job import JobResult
+
+GB = 1024**3
 
 
 def fake_result(t: float) -> JobResult:
@@ -98,6 +100,27 @@ def test_cli_runs_figure_and_writes_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fig8" in out
     assert (tmp_path / "fig8.txt").exists()
+
+
+def test_fault_plan_sweep_point_runs_every_listed_family():
+    # One fig8 point at scale 0.02 under a two-family plan: the point
+    # probes fault-free for the runtime hint, then re-runs under the union.
+    result = figures._grid_point(
+        "sort", 20 * 0.02 * GB, 4, "rdma", "ipoib", "ssd", 1, 0,
+        fault_plan="standard,corruption",
+    )
+    assert result.conf.fault_plan.name == "standard+corruption"
+    assert result.counters["faults.node_crashes"] > 0
+    assert result.counters["integrity.detected"] > 0
+    assert result.counters["reduce.completed"] == result.conf.n_reduces
+
+
+def test_cli_rejects_unknown_fault_family(capsys):
+    with pytest.raises(SystemExit):
+        run_main(["--figure", "fig8", "--fault-plan", "standard,chaos"])
+    assert "pick from ['corruption', 'master', 'slowdown', 'standard']" in (
+        capsys.readouterr().err
+    )
 
 
 def test_cli_requires_figure():

@@ -20,7 +20,7 @@ from repro.faults import (
     LinkFlap,
     NodeCrash,
     ResponderStall,
-    standard_fault_plan,
+    fault_plan,
 )
 from repro.mapreduce import run_job, terasort_job
 
@@ -200,7 +200,7 @@ def test_responder_stall_delays_but_completes():
 @pytest.mark.parametrize("engine", ["http", "hadoopa", "rdma"])
 def test_standard_plan_deterministic(engine):
     clean = run(engine)
-    plan = standard_fault_plan(nodes(3), clean.execution_time)
+    plan = fault_plan(["standard"], nodes(3), clean.execution_time)
     a = run(engine, fault_plan=plan, **FAST_KNOBS)
     b = run(engine, fault_plan=plan, **FAST_KNOBS)
     assert a.counters == b.counters

@@ -1,7 +1,8 @@
 """Property tests: any seeded fault plan still yields a correct, repeatable job.
 
-For arbitrary :func:`repro.faults.seeded_fault_plan` schedules on a small
-cluster the job must (a) run to completion, (b) produce exactly the
+For arbitrary seeded draws of the ``standard`` family of
+:func:`repro.faults.fault_plan` (crashes, flaps, stalls, disk errors) on a
+small cluster the job must (a) run to completion, (b) produce exactly the
 fault-free total of reduce output bytes, and (c) be bit-repeatable under
 the same seed — fault injection is deterministic chaos, not randomness.
 """
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import westmere_cluster
-from repro.faults import seeded_fault_plan
+from repro.faults import fault_plan
 from repro.mapreduce import run_job, terasort_job
 
 GB = 1024**3
@@ -50,8 +51,11 @@ def clean_result():
 @settings(max_examples=10, deadline=None)
 def test_seeded_plan_completes_with_exact_output(seed):
     clean = clean_result()
-    plan = seeded_fault_plan(
-        seed, [f"node{i:02d}" for i in range(N_NODES)], clean.execution_time
+    plan = fault_plan(
+        ["standard"],
+        [f"node{i:02d}" for i in range(N_NODES)],
+        clean.execution_time,
+        seed=seed,
     )
     result = _run(fault_plan=plan)
     assert result.counters["reduce.completed"] == result.conf.n_reduces
@@ -67,8 +71,8 @@ def test_seeded_plan_completes_with_exact_output(seed):
 def test_same_seed_same_chaos(seed):
     clean = clean_result()
     names = [f"node{i:02d}" for i in range(N_NODES)]
-    plan_a = seeded_fault_plan(seed, names, clean.execution_time)
-    plan_b = seeded_fault_plan(seed, names, clean.execution_time)
+    plan_a = fault_plan(["standard"], names, clean.execution_time, seed=seed)
+    plan_b = fault_plan(["standard"], names, clean.execution_time, seed=seed)
     assert plan_a == plan_b
     a = _run(fault_plan=plan_a)
     b = _run(fault_plan=plan_b)

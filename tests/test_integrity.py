@@ -12,6 +12,8 @@ the BENCH baselines), and a checksums-on-but-nothing-corrupting job has
 the clock.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import westmere_cluster
@@ -21,7 +23,7 @@ from repro.faults import (
     ResponderStall,
     SegmentFault,
     WireCorruption,
-    standard_corruption_plan,
+    fault_plan,
 )
 from repro.mapreduce import run_job, terasort_job
 
@@ -273,7 +275,12 @@ def test_quarantine_knobs_change_membership():
 @pytest.mark.parametrize("engine", ENGINES)
 def test_standard_corruption_plan_end_to_end(engine):
     clean = run(engine)
-    plan = standard_corruption_plan(nodes(3), disk_rate=0.3)
+    # The standard schedule with the last node's disks flipping twice as
+    # often, so every engine sees disk flips at this small size.
+    plan = dataclasses.replace(
+        fault_plan(["corruption"], nodes(3), clean.execution_time),
+        disk_corruptions=(DiskCorruption(node="node02", rate=0.3, rot_rate=0.2),),
+    )
     faulty = run(engine, fault_plan=plan, **FAST_KNOBS)
     assert_same_output(clean, faulty)
     assert_ledger_settled(faulty)
@@ -284,7 +291,7 @@ def test_standard_corruption_plan_end_to_end(engine):
 
 
 def test_corrupted_runs_are_deterministic():
-    plan = standard_corruption_plan(nodes(3))
+    plan = fault_plan(["corruption"], nodes(3), runtime_hint=100.0)
     a = run("rdma", fault_plan=plan, **FAST_KNOBS)
     b = run("rdma", fault_plan=plan, **FAST_KNOBS)
     assert a.execution_time == b.execution_time
@@ -326,7 +333,7 @@ def test_corruption_plan_validation():
     with pytest.raises(ValueError):
         FaultPlan(segment_faults=(SegmentFault(node="n", rate=0.1, kind="bogus"),))
     with pytest.raises(ValueError):
-        standard_corruption_plan(["lonely"])
+        fault_plan(["corruption"], ["lonely"], runtime_hint=100.0)
 
 
 def test_unknown_corruption_node_fails_fast():

@@ -1,17 +1,17 @@
 """Property tests: seeded silent corruption never changes the answer.
 
-For arbitrary :func:`repro.faults.seeded_corruption_plan` schedules on a
-small cluster the job must (a) run to completion with exactly the clean
-total of reduce output bytes, (b) settle its integrity ledger
-(``detected == recovered``), and (c) be bit-repeatable under the same
-seed.  Plus pure-function properties of the digest scheme itself.
+For arbitrary seeded draws of the ``corruption`` family of
+:func:`repro.faults.fault_plan` on a small cluster the job must (a) run
+to completion with exactly the clean total of reduce output bytes, (b)
+settle its integrity ledger (``detected == recovered``), and (c) be
+bit-repeatable under the same seed.  Plus pure-function properties of the digest scheme itself.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import westmere_cluster
-from repro.faults import seeded_corruption_plan
+from repro.faults import fault_plan
 from repro.integrity import CORRUPTION_MASK, fingerprint, fnv1a64
 from repro.mapreduce import run_job, terasort_job
 
@@ -89,7 +89,12 @@ def test_fingerprint_field_order_matters(a, b):
 @settings(max_examples=10, deadline=None)
 def test_seeded_corruption_completes_with_exact_output(seed):
     clean = clean_result()
-    plan = seeded_corruption_plan(seed, [f"node{i:02d}" for i in range(N_NODES)])
+    plan = fault_plan(
+        ["corruption"],
+        [f"node{i:02d}" for i in range(N_NODES)],
+        clean.execution_time,
+        seed=seed,
+    )
     result = _run(fault_plan=plan)
     assert result.counters["reduce.completed"] == result.conf.n_reduces
     assert result.counters["reduce.output_bytes"] == clean.counters[
@@ -108,8 +113,9 @@ def test_seeded_corruption_completes_with_exact_output(seed):
 @settings(max_examples=5, deadline=None)
 def test_same_seed_same_corruption(seed):
     names = [f"node{i:02d}" for i in range(N_NODES)]
-    plan_a = seeded_corruption_plan(seed, names)
-    plan_b = seeded_corruption_plan(seed, names)
+    hint = clean_result().execution_time
+    plan_a = fault_plan(["corruption"], names, hint, seed=seed)
+    plan_b = fault_plan(["corruption"], names, hint, seed=seed)
     assert plan_a == plan_b
     a = _run(fault_plan=plan_a)
     b = _run(fault_plan=plan_b)

@@ -26,9 +26,7 @@ from repro.faults import (
     FaultPlan,
     MasterCrash,
     MasterStall,
-    named_plan,
-    seeded_master_plan,
-    standard_master_plan,
+    fault_plan,
 )
 from repro.mapreduce import run_job, terasort_job
 from repro.mapreduce.journal import JobJournal
@@ -75,33 +73,28 @@ def test_master_only_plan_is_not_empty():
 
 
 def test_standard_master_plan_shape():
-    plan = standard_master_plan(nodes(3), runtime_hint=100.0)
+    plan = fault_plan(["master"], nodes(3), runtime_hint=100.0)
     assert len(plan.master_crashes) == 1
     assert plan.master_crashes[0].at == pytest.approx(45.0)
     assert not plan.master_stalls and not plan.crashes
     with pytest.raises(ValueError, match="runtime_hint"):
-        standard_master_plan(nodes(3), runtime_hint=0.0)
+        fault_plan(["master"], nodes(3), runtime_hint=0.0)
 
 
 def test_seeded_master_plan_deterministic():
     names = nodes(3)
-    assert seeded_master_plan(4, names, 100.0) == seeded_master_plan(4, names, 100.0)
-    plans = [seeded_master_plan(seed, names, 100.0) for seed in range(16)]
+
+    def draw(seed, hint=100.0):
+        return fault_plan(["master"], names, hint, seed=seed)
+
+    assert draw(4) == draw(4)
+    plans = [draw(seed) for seed in range(16)]
     assert all(p.has_master_faults for p in plans)
     # The draw straddles both fault kinds across seeds.
     assert any(p.master_crashes for p in plans)
     assert any(p.master_stalls for p in plans)
     with pytest.raises(ValueError, match="runtime_hint"):
-        seeded_master_plan(0, names, -1.0)
-
-
-def test_named_plan_dispatch():
-    assert named_plan("master", nodes(3), 100.0) == standard_master_plan(
-        nodes(3), 100.0
-    )
-    assert named_plan("slowdown", nodes(3), 100.0).has_degradation
-    with pytest.raises(ValueError, match="corruption.*master.*slowdown.*standard"):
-        named_plan("chaos", nodes(3), 100.0)
+        draw(0, hint=-1.0)
 
 
 def test_master_knob_validation():

@@ -1,12 +1,9 @@
-"""Tests for monitors, counters, utilization tracking, and RNG streams."""
-
-import math
+"""Tests for counters, utilization tracking, and RNG streams."""
 
 import numpy as np
 import pytest
 
-from repro.sim import Counter, Monitor, RandomStreams, Simulator, UtilizationTracker
-from repro.sim.monitor import summarize
+from repro.sim import Counter, RandomStreams, Simulator, UtilizationTracker
 
 
 # ---------------------------------------------------------------------------
@@ -29,53 +26,6 @@ def test_counter_merge():
     b.add("y", 3)
     a.merge(b)
     assert a.as_dict() == {"x": 3, "y": 3}
-
-
-# ---------------------------------------------------------------------------
-# Monitor
-# ---------------------------------------------------------------------------
-
-
-def test_monitor_records_time_series():
-    sim = Simulator()
-    m = Monitor(sim, "queue")
-
-    def proc(sim, m):
-        m.record(1)
-        yield sim.timeout(2)
-        m.record(3)
-        yield sim.timeout(2)
-        m.record(5)
-
-    sim.process(proc(sim, m))
-    sim.run()
-    assert m.times == [0, 2, 4]
-    assert m.mean == 3
-    assert m.minimum == 1 and m.maximum == 5
-    assert len(m) == 3
-
-
-def test_monitor_time_weighted_mean():
-    sim = Simulator()
-    m = Monitor(sim, "level")
-
-    def proc(sim, m):
-        m.record(0)
-        yield sim.timeout(1)
-        m.record(10)
-        yield sim.timeout(1)
-
-    sim.process(proc(sim, m))
-    sim.run()
-    # 0 for one second, 10 for one second.
-    assert m.time_weighted_mean() == pytest.approx(5.0)
-
-
-def test_monitor_empty_stats_are_nan():
-    sim = Simulator()
-    m = Monitor(sim)
-    assert math.isnan(m.mean)
-    assert math.isnan(m.time_weighted_mean())
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +76,6 @@ def test_release_without_acquire_raises():
     u = UtilizationTracker(sim)
     with pytest.raises(ValueError):
         u.release()
-
-
-def test_summarize():
-    s = summarize([3.0, 1.0, 2.0])
-    assert s["n"] == 3 and s["median"] == 2.0 and s["min"] == 1.0
-    assert summarize([])["n"] == 0
 
 
 # ---------------------------------------------------------------------------

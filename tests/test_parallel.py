@@ -114,16 +114,20 @@ def test_spawn_context_matches_serial():
 
 
 def test_real_sweep_matches_serial():
-    from repro.experiments.sensitivity import sweep_jobconf
+    from repro.experiments.figures import _grid_point
 
-    values = [32 << 10, 1 << 20]
-    serial = sweep_jobconf(
-        "rdma_packet_bytes", values, size_bytes=64 << 20, n_nodes=2, workers=1
-    )
-    parallel = sweep_jobconf(
-        "rdma_packet_bytes", values, size_bytes=64 << 20, n_nodes=2, workers=2
-    )
-    assert [repr(r) for r in parallel] == [repr(r) for r in serial]
+    points = [
+        SweepPoint(
+            _grid_point,
+            args=("terasort", 64 << 20, 2, "rdma", "ipoib", "compute", 1, 0),
+            kwargs={"overrides": {"rdma_packet_bytes": packet}},
+        )
+        for packet in (32 << 10, 1 << 20)
+    ]
+    serial = SweepExecutor(workers=1).run(points)
+    parallel = SweepExecutor(workers=2).run(points)
+    assert [fingerprint(r) for r in parallel] == [fingerprint(r) for r in serial]
+    assert serial[0].execution_time != serial[1].execution_time
 
 
 # -- failure policy -----------------------------------------------------------

@@ -31,8 +31,7 @@ from repro.faults import (
     LinkDegrade,
     NodeSlowdown,
     ResponderStall,
-    seeded_slowdown_plan,
-    standard_slowdown_plan,
+    fault_plan,
 )
 from repro.mapreduce import run_job, terasort_job
 from repro.mapreduce.speculation import AttemptProgress, pick_straggler
@@ -100,21 +99,25 @@ def test_degradation_only_plan_is_not_empty():
 
 
 def test_standard_slowdown_plan_shape():
-    plan = standard_slowdown_plan(nodes(3), runtime_hint=100.0)
+    plan = fault_plan(["slowdown"], nodes(3), runtime_hint=100.0)
     # One sick node (the last), degraded on all three axes, nothing crashes.
     assert plan.nodes_referenced() == {"node02"}
     assert len(plan.slowdowns) == len(plan.disk_slowdowns) == len(plan.link_degrades) == 1
     assert not plan.crashes
     with pytest.raises(ValueError, match=">= 2 nodes"):
-        standard_slowdown_plan(nodes(1), runtime_hint=100.0)
+        fault_plan(["slowdown"], nodes(1), runtime_hint=100.0)
     with pytest.raises(ValueError, match="runtime_hint"):
-        standard_slowdown_plan(nodes(3), runtime_hint=0.0)
+        fault_plan(["slowdown"], nodes(3), runtime_hint=0.0)
 
 
 def test_seeded_slowdown_plan_deterministic():
     names = nodes(4)
-    assert seeded_slowdown_plan(9, names, 100.0) == seeded_slowdown_plan(9, names, 100.0)
-    plans = [seeded_slowdown_plan(seed, names, 100.0) for seed in range(16)]
+
+    def draw(seed):
+        return fault_plan(["slowdown"], names, 100.0, seed=seed)
+
+    assert draw(9) == draw(9)
+    plans = [draw(seed) for seed in range(16)]
     # The first node always stays healthy (a backup target must exist).
     assert all("node00" not in p.nodes_referenced() for p in plans)
     assert all(p.has_degradation for p in plans)
