@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
 
 from repro.network.fabric import Fabric, NetworkInterface
 from repro.sim.core import Simulator
@@ -31,9 +30,6 @@ class NodeSpec:
 
     def with_disks(self, disks: tuple[DiskSpec, ...]) -> "NodeSpec":
         return replace(self, disks=disks)
-
-    def scaled(self, **overrides: Any) -> "NodeSpec":
-        return replace(self, **overrides)
 
 
 class Node:

@@ -20,8 +20,7 @@ Rationale for the defaults (2.67 GHz Westmere core, JDK 1.7 JVM):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import dataclass
 
 __all__ = ["CostModel", "DEFAULT_COSTS"]
 
@@ -51,9 +50,6 @@ class CostModel:
     task_heap_bytes: float = 1024 * 1024 * 1024
     #: Relative jitter applied to task compute times (deterministic RNG).
     cpu_jitter: float = 0.03
-
-    def scaled(self, **overrides: Any) -> "CostModel":
-        return replace(self, **overrides)
 
     def cpu_seconds(self, stage: str, nbytes: float) -> float:
         """CPU seconds for ``stage`` over ``nbytes`` of data."""

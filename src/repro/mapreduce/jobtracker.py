@@ -700,36 +700,63 @@ class JobTracker:
             # Master crash: the scan loop dies with its incarnation.
             return
 
+    def _straggler_backup(self, kind: str, exclude: set[int]):
+        """The LATE scan prologue shared by maps and reduces.
+
+        Picks the slowest-rate straggler among the ``kind`` attempts not in
+        ``exclude``, measured against the completed-task median, and a
+        tracker for its backup.  Returns ``(pick, tracker)``, or None when
+        nothing lags, the per-job cap is reached, or no slot is free.
+        """
+        ctx = self.ctx
+        spec = ctx.speculation
+        durations = sorted(s.duration for s in ctx.spans if s.kind == kind and s.ok)
+        if not durations:
+            return None
+        median = durations[len(durations) // 2]
+        pick = pick_straggler(
+            spec.estimates(kind, exclude),
+            self.sim.now,
+            median,
+            ctx.conf.speculative_threshold,
+        )
+        if pick is None:
+            return None
+        if spec.cap_reached():
+            spec.note_capped(kind, pick.task_id)
+            return None
+        backup_tt = self._pick_backup_tracker(kind, pick.node)
+        if backup_tt is None:
+            spec.note_no_slot(kind, pick.task_id)
+            return None
+        return pick, backup_tt
+
+    def _note_backup(self, kind: str, pick: Any, backup_tt: Any) -> None:
+        """Count, log and journal one launched backup attempt."""
+        ctx = self.ctx
+        ctx.counters.add(f"{kind}.speculative_launched", 1)
+        ctx.speculation.note_backup(
+            kind, pick.task_id, pick.node, backup_tt.name, pick.est_total(self.sim.now)
+        )
+        if ctx.journal is not None:
+            ctx.journal.append(
+                "speculation",
+                task_kind=kind,
+                task_id=pick.task_id,
+                backup=backup_tt.name,
+            )
+
     def _speculate_maps(self) -> Generator[Event, Any, None]:
         """One LATE map scan: back up the slowest-rate lagging attempt."""
-
         ctx = self.ctx
-        conf = ctx.conf
-        spec = ctx.speculation
         if self.pending_maps or ctx.completed_maps >= ctx.n_maps:
             # Backups only make sense in the tail: while pending work
             # remains, a free slot is better spent on a fresh task.
             return
-        durations = sorted(s.duration for s in ctx.spans if s.kind == "map" and s.ok)
-        if not durations:
+        found = self._straggler_backup("map", self._speculated | set(ctx.map_outputs))
+        if found is None:
             return
-        median = durations[len(durations) // 2]
-        exclude = self._speculated | set(ctx.map_outputs)
-        pick = pick_straggler(
-            spec.estimates("map", exclude),
-            self.sim.now,
-            median,
-            conf.speculative_threshold,
-        )
-        if pick is None:
-            return
-        if spec.cap_reached():
-            spec.note_capped("map", pick.task_id)
-            return
-        backup_tt = self._pick_backup_tracker("map", pick.node)
-        if backup_tt is None:
-            spec.note_no_slot("map", pick.task_id)
-            return
+        pick, backup_tt = found
         map_id = pick.task_id
         block = self._attempt_meta[map_id][2]
         self._speculated.add(map_id)
@@ -744,14 +771,7 @@ class JobTracker:
             # The original committed while we waited for a slot.
             backup_tt.map_slots.release(slot)
             return
-        ctx.counters.add("map.speculative_launched", 1)
-        spec.note_backup(
-            "map", map_id, pick.node, backup_tt.name, pick.est_total(self.sim.now)
-        )
-        if ctx.journal is not None:
-            ctx.journal.append(
-                "speculation", task_kind="map", task_id=map_id, backup=backup_tt.name
-            )
+        self._note_backup("map", pick, backup_tt)
         proc = self.sim.process(
             self._map_wrapper(backup_tt, (map_id, block), slot),
             name=f"map-{map_id}-backup",
@@ -765,42 +785,15 @@ class JobTracker:
         own slot), races the original, and whichever attempt commits first
         wins; ``_commit_reduce`` kills the loser.
         """
-        ctx = self.ctx
-        conf = ctx.conf
-        spec = ctx.speculation
-        durations = sorted(s.duration for s in ctx.spans if s.kind == "reduce" and s.ok)
-        if not durations:
-            return
-        median = durations[len(durations) // 2]
-        exclude = self._reduce_speculated | self._reduce_committed
-        pick = pick_straggler(
-            spec.estimates("reduce", exclude),
-            self.sim.now,
-            median,
-            conf.speculative_threshold,
+        found = self._straggler_backup(
+            "reduce", self._reduce_speculated | self._reduce_committed
         )
-        if pick is None:
+        if found is None:
             return
-        if spec.cap_reached():
-            spec.note_capped("reduce", pick.task_id)
-            return
-        backup_tt = self._pick_backup_tracker("reduce", pick.node)
-        if backup_tt is None:
-            spec.note_no_slot("reduce", pick.task_id)
-            return
+        pick, backup_tt = found
         reduce_id = pick.task_id
         self._reduce_speculated.add(reduce_id)
-        ctx.counters.add("reduce.speculative_launched", 1)
-        spec.note_backup(
-            "reduce", reduce_id, pick.node, backup_tt.name, pick.est_total(self.sim.now)
-        )
-        if ctx.journal is not None:
-            ctx.journal.append(
-                "speculation",
-                task_kind="reduce",
-                task_id=reduce_id,
-                backup=backup_tt.name,
-            )
+        self._note_backup("reduce", pick, backup_tt)
         self._launch_reduce(backup_tt, reduce_id, f"reduce-{reduce_id}-backup")
 
     def _pick_backup_tracker(self, kind: str, straggler_node: str):

@@ -9,6 +9,9 @@ An engine contributes two halves:
   and writes the output.  The consumer owns the *whole* reduce lifecycle
   because the overlap structure (Figure 3) is exactly what differs
   between the designs.
+
+The fetch-failure protocol (which checks a serve makes, which faults are
+retried and which reported) is decided here once for every engine.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from collections.abc import Generator
 from typing import TYPE_CHECKING, Any
 
 from repro.core.protocol import MapOutputMeta
+from repro.faults import FaultError
+from repro.mapreduce.maptask import TaskFailure
 from repro.sim.core import Event
 from repro.sim.resources import Container
 
@@ -181,6 +186,59 @@ class ShuffleProvider:
         """
         return 0.0
 
+    # -- the serve checks (shared by all engines) ------------------------------
+    #
+    # Each raises FaultError for a doomed serve; the engine decides only
+    # the order.  The generator gate runs only under a fault plan and the
+    # segment draws only when faults or integrity are armed, so a
+    # knob-free serve pays neither.
+
+    def _serve_gate(self, requester: Any) -> Generator[Event, Any, None]:
+        """Wait out a responder stall, then refuse a dead server or a
+        downed path (call only under a fault plan)."""
+        faults = self.ctx.faults
+        name = self.tt.name
+        stall = faults.stall_penalty(name)
+        if stall > 0:
+            # Hung service threads: requests queued behind the stall are
+            # simply served late, the consumer just waits longer.
+            yield self.ctx.sim.timeout(stall)
+        if faults.node_dead(name):
+            raise FaultError("crash", name)
+        if faults.path_down(name, requester.name):
+            raise FaultError("link", f"{name}<->{requester.name}")
+
+    def _map_output(self, map_id: int) -> tuple[MapOutputMeta, "LocalFile"]:
+        """The served map output; ``lost`` once it has been condemned."""
+        entry = self.tt.map_outputs.get(map_id)
+        if entry is None:
+            raise FaultError("lost", f"map {map_id}")
+        return entry
+
+    def _segment_faults(self, file: "LocalFile", map_id: int) -> None:
+        """Draw this serve's segment fault, then its disk read error."""
+        ctx = self.ctx
+        integ = ctx.integrity
+        if integ is not None:
+            kind = integ.segment_serve_fault(self.tt.name, file.name)
+            if kind is not None:
+                raise FaultError(kind, f"map {map_id} segment")
+        faults = ctx.faults
+        if faults is not None and faults.disk_read_fails(self.tt.name):
+            if integ is not None:
+                integ.note_disk_error(self.tt.name)
+            raise FaultError("disk", f"map {map_id} spill read")
+
+    def _verify_read(self, file: "LocalFile", nbytes: float, map_id: int) -> None:
+        """Verify-on-read of a disk-served segment (integrity only)."""
+        status = self.ctx.integrity.check_segment_read(self.tt.name, file, nbytes)
+        if status == "persistent":
+            # The canonical on-disk output is rotten: no retry can help,
+            # the consumer reports it for condemnation.
+            raise FaultError("corrupt", f"map {map_id} on-disk output")
+        if status == "transient":
+            raise FaultError("checksum", f"map {map_id} segment read")
+
 
 class ShuffleConsumer:
     """ReduceTask-side shuffle + merge + reduce pipeline (one per reducer)."""
@@ -202,11 +260,14 @@ class ShuffleConsumer:
         # Fault injection: decide up front whether this attempt dies and
         # after how much reduced output (paper §VI future work).
         self._fail_after_bytes = float("inf")
-        faults = getattr(ctx, "faults", None)
-        if faults is not None:
-            self._fail_after_bytes = faults.task_fail_at(
-                "reduce", reduce_id, attempt, ctx.conf.data_bytes / ctx.conf.n_reduces
+        conf = ctx.conf
+        if ctx.faults is not None:
+            self._fail_after_bytes = ctx.faults.task_fail_at(
+                "reduce", reduce_id, attempt, conf.data_bytes / conf.n_reduces
             )
+        #: Reduce-side shuffle memory and this attempt's CPU jitter.
+        self.capacity = ctx.shuffle_buffer_bytes()
+        self.jitter = ctx.jitter(f"reduce-{reduce_id}")
         self.aborted = False
         #: Child processes (fetchers/copiers/mergers) spawned via _spawn,
         #: so a crashed attempt can be torn down with cancel().
@@ -216,9 +277,14 @@ class ShuffleConsumer:
         self._host_failures: dict[str, int] = {}
         self._penalty_until: dict[str, float] = {}
         self._retry_jitter: Any = None
-        #: Credit gate for engines that arm ``recv_credits`` (subclasses
-        #: replace this); the base retune() hook only touches a live gate.
-        self._credit_gate: CreditGate | None = None
+        #: Receive window, armed by ``recv_credits`` (None = ungated).
+        self._credit_gate = (
+            CreditGate(ctx, f"reduce-{reduce_id}", conf.recv_credits)
+            if conf.recv_credits > 0
+            else None
+        )
+        #: Peak shuffle-buffer bytes in use (reported under backpressure).
+        self._mem_hwm = 0.0
         #: The all_of this consumer's run() is currently gathered on; a
         #: cancelled attempt defuses it (its waiter is gone, and the
         #: interrupted children would otherwise fail it unhandled).
@@ -227,7 +293,28 @@ class ShuffleConsumer:
     # -- engine entry point -------------------------------------------------
 
     def run(self) -> Generator[Event, Any, None]:
-        """Full reduce lifecycle; drive with the simulator."""
+        """Full reduce lifecycle; drive with the simulator.
+
+        Under a fault plan the attempt hears of republished map outputs
+        (:meth:`_on_replacement`) for as long as it runs.
+        """
+        ctx = self.ctx
+        if ctx.faults is not None:
+            ctx.board.add_replacement_listener(self._on_replacement)
+        try:
+            yield from self._reduce(ctx.board.subscribe())
+        finally:
+            if ctx.faults is not None:
+                ctx.board.remove_replacement_listener(self._on_replacement)
+        if ctx.conf.backpressure_active:
+            ctx.counters.peak("shuffle.mem.high_water_bytes", self._mem_hwm)
+
+    def _reduce(self, inbox: Any) -> Generator[Event, Any, None]:
+        """Engine body: shuffle ``inbox``'s map outputs, merge, reduce."""
+        raise NotImplementedError
+
+    def _on_replacement(self, meta: MapOutputMeta) -> None:
+        """A re-executed map's replacement output has been published."""
         raise NotImplementedError
 
     # -- fault recovery (shared by all engines) -------------------------------
@@ -270,10 +357,6 @@ class ShuffleConsumer:
             # the instant it spawned) has a failure event in flight that
             # nothing will wait on once the attempt is abandoned.
             proc.defuse()
-        self.on_cancel()
-
-    def on_cancel(self) -> None:
-        """Engine-specific cleanup hook (listener deregistration etc.)."""
 
     def _penalty_remaining(self, host: str) -> float:
         """Seconds until ``host`` leaves the penalty box (0 when out)."""
@@ -325,13 +408,60 @@ class ShuffleConsumer:
         if streak >= conf.penalty_box_after and streak % conf.penalty_box_after == 0:
             self._penalty_until[host] = ctx.sim.now + conf.penalty_box_secs
             ctx.counters.add("shuffle.retry.penalty_boxed", 1)
-            journal = getattr(ctx, "journal", None)
-            if journal is not None:
+            if ctx.journal is not None:
                 # Journaled so a recovered master re-learns which hosts
                 # its reducers had boxed (observability across failover).
-                journal.append("penalty_box", reduce_id=self.reduce_id, host=host)
+                ctx.journal.append("penalty_box", reduce_id=self.reduce_id, host=host)
         ctx.counters.add("shuffle.retry.backoff_seconds", delay)
         return delay
+
+    def _check_own_node(self) -> None:
+        """Our own node died: the whole reduce attempt fails."""
+        if self.ctx.faults.node_dead(self.node.name):
+            raise TaskFailure(f"reduce-{self.reduce_id}", self.attempt)
+
+    def _retry_or_report(
+        self, exc: FaultError, host: str, failures: int
+    ) -> Generator[Event, Any, bool]:
+        """Decide one failed fetch from ``host``, the ``failures``-th in a row.
+
+        Rotten on-disk output (``corrupt``) is reported at once: retrying
+        re-reads the same bad bytes.  Any other kind backs off; at
+        ``fetch_retry_limit`` failures the output is reported, otherwise
+        the fetcher sleeps the back-off and retries.  Returns True when
+        the caller must report the output lost (:meth:`_report_lost`).
+        """
+        if exc.kind == "corrupt":
+            return True
+        ctx = self.ctx
+        t0 = ctx.sim.now
+        delay = self._fetch_backoff(host)
+        if failures >= ctx.conf.fetch_retry_limit:
+            return True
+        yield ctx.sim.timeout(delay)
+        ctx.tracer.record(f"reduce-{self.reduce_id}", "retry", t0, ctx.sim.now, 0.0)
+        return False
+
+    def _report_lost(self, meta: MapOutputMeta) -> None:
+        """Report ``meta`` unfetchable; the JobTracker re-executes its map."""
+        self.ctx.counters.add("shuffle.retry.reports", 1)
+        self.ctx.report_fetch_failure(meta)
+
+    def packets_in(self, nbytes: float) -> float:
+        """Packets one exchange of ``nbytes`` rides in (integrity's wire
+        model: per-packet corruption compounds over the exchange)."""
+        raise NotImplementedError
+
+    def _receive_corrupted(self, host: str, got: float, map_id: int) -> bool:
+        """Verify-on-receive (integrity only); a corrupted exchange counts
+        a refetch, and the caller re-requests it."""
+        integ = self.ctx.integrity
+        if not integ.wire_corrupted(
+            host, self.node.name, self.packets_in(got), (map_id, self.reduce_id)
+        ):
+            return False
+        integ.note_refetch()
+        return True
 
     # -- control-plane actuators (repro.control) ------------------------------
 
@@ -408,8 +538,6 @@ class ShuffleConsumer:
         if nbytes <= 0:
             return
         if self.bytes_reduced >= self._fail_after_bytes:
-            from repro.mapreduce.maptask import TaskFailure
-
             self.aborted = True
             self.ctx.counters.add("reduce.failed_attempts", 1)
             raise TaskFailure(f"reduce-{self.reduce_id}", self.attempt)

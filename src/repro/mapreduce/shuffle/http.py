@@ -30,8 +30,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.protocol import MapOutputMeta
 from repro.faults import FaultError
-from repro.mapreduce.maptask import TaskFailure
-from repro.mapreduce.shuffle.base import CreditGate, ShuffleConsumer, ShuffleProvider
+from repro.mapreduce.shuffle.base import ShuffleConsumer, ShuffleProvider
 from repro.sim.core import Event, Process
 from repro.sim.resources import Container, Resource, Store
 
@@ -66,35 +65,19 @@ class HttpShuffleProvider(ShuffleProvider):
     ) -> Generator[Event, Any, float]:
         """Handle one segment request end-to-end (driven by the copier).
 
-        Raises :class:`repro.faults.FaultError` for a doomed request
-        (dead server, link down, output lost, disk read error, bad
-        segment); the copier's retry loop handles it.  Without a fault
-        plan none of them can happen.
+        Raises :class:`repro.faults.FaultError` for a doomed request (the
+        shared serve checks, with the segment draws before the empty-segment
+        return); the copier's retry loop handles it.  Without a fault plan
+        none of them can happen.
         """
         ctx = self.ctx
         sim = ctx.sim
-        faults = ctx.faults
-        if faults is not None:
-            stall = faults.stall_penalty(self.tt.name)
-            if stall > 0:
-                yield sim.timeout(stall)
-            if faults.node_dead(self.tt.name):
-                raise FaultError("crash", self.tt.name)
-            if faults.path_down(self.tt.name, requester_node.name):
-                raise FaultError("link", f"{self.tt.name}<->{requester_node.name}")
-        entry = self.tt.map_outputs.get(map_id)
-        if entry is None:
-            raise FaultError("lost", f"map {map_id}")
-        meta, file = entry
+        if ctx.faults is not None:
+            yield from self._serve_gate(requester_node)
+        meta, file = self._map_output(map_id)
         integ = ctx.integrity
-        if integ is not None:
-            kind = integ.segment_serve_fault(self.tt.name, file.name)
-            if kind is not None:
-                raise FaultError(kind, f"map {map_id} segment")
-        if faults is not None and faults.disk_read_fails(self.tt.name):
-            if integ is not None:
-                integ.note_disk_error(self.tt.name)
-            raise FaultError("disk", f"map {map_id} spill read")
+        if ctx.faults is not None or integ is not None:
+            self._segment_faults(file, map_id)
         seg_bytes, _pairs = meta.segment(reduce_id)
         if seg_bytes <= 0:
             return 0.0
@@ -137,11 +120,7 @@ class HttpShuffleProvider(ShuffleProvider):
             # Verify-on-read of the servlet's disk stream (the 0.20.2
             # IFile checksum).  The bytes already crossed the wire — a
             # mismatch wastes the transfer, exactly like the real thing.
-            status = integ.check_segment_read(self.tt.name, file, seg_bytes)
-            if status == "persistent":
-                raise FaultError("corrupt", f"map {map_id} on-disk output")
-            if status == "transient":
-                raise FaultError("checksum", f"map {map_id} segment read")
+            self._verify_read(file, seg_bytes, map_id)
         return seg_bytes
 
 
@@ -153,7 +132,6 @@ class HttpShuffleConsumer(ShuffleConsumer):
     ):
         super().__init__(ctx, tt, reduce_id, attempt)
         sim = ctx.sim
-        self.capacity = ctx.shuffle_buffer_bytes()
         #: Free shuffle-buffer bytes (reservation semantics).
         self.mem = Container(sim, capacity=self.capacity, init=self.capacity)
         self.mem_segments: list[float] = []
@@ -165,8 +143,6 @@ class HttpShuffleConsumer(ShuffleConsumer):
         self._merge_free = Event(sim)
         self._disk_merging = False
         self._run_seq = 0
-        self.jitter = ctx.jitter(f"reduce-{reduce_id}")
-        # -- flow control & memory pressure (inert with the knobs unset) ----
         conf = ctx.conf
         #: In-memory merge trigger; ``shuffle_spill_threshold`` overrides
         #: 0.20.2's shuffle.merge.percent when set.
@@ -175,44 +151,25 @@ class HttpShuffleConsumer(ShuffleConsumer):
             if conf.shuffle_spill_threshold > 0
             else conf.shuffle_merge_percent
         ) * self.capacity
-        self._credit_gate = (
-            CreditGate(ctx, f"reduce-{reduce_id}", conf.recv_credits)
-            if conf.recv_credits > 0
-            else None
-        )
-        self._mem_hwm = 0.0
         #: Fault recovery: copiers parked on a lost map output wait here
         #: for its replacement meta (map_id -> Event).
         self._replacement_events: dict[int, Event] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
-    def run(self) -> Generator[Event, Any, None]:
-        sim = self.ctx.sim
-        conf = self.ctx.conf
-        if self.ctx.faults is not None:
-            self.ctx.board.add_replacement_listener(self._on_replacement)
-        inbox = self.ctx.board.subscribe()
+    def _reduce(self, inbox: Store) -> Generator[Event, Any, None]:
         feeder = self._spawn(self._feeder(inbox), name=f"r{self.reduce_id}-feeder")
         copiers = [
             self._spawn(self._copier(), name=f"r{self.reduce_id}-copier{i}")
-            for i in range(conf.parallel_copies)
+            for i in range(self.ctx.conf.parallel_copies)
         ]
-        try:
-            yield self._gather_on([feeder, *copiers])
-            # Flush whatever in-memory data remains if disk runs exist — 0.20.2
-            # merges memory to disk when disk runs must be co-merged anyway.
-            # Leftover memory segments otherwise feed the reduce directly.
-            yield from self._merge_barrier()
-            yield from self._final_merge_passes()
-            yield from self._reduce_phase()
-            if conf.backpressure_active:
-                self.ctx.counters.peak(
-                    "shuffle.mem.high_water_bytes", self._mem_hwm
-                )
-        finally:
-            if self.ctx.faults is not None:
-                self.ctx.board.remove_replacement_listener(self._on_replacement)
+        yield self._gather_on([feeder, *copiers])
+        # Flush whatever in-memory data remains if disk runs exist — 0.20.2
+        # merges memory to disk when disk runs must be co-merged anyway.
+        # Leftover memory segments otherwise feed the reduce directly.
+        yield from self._merge_barrier()
+        yield from self._final_merge_passes()
+        yield from self._reduce_phase()
 
     def _on_replacement(self, meta: MapOutputMeta) -> None:
         ev = self._replacement_events.pop(meta.map_id, None)
@@ -291,21 +248,19 @@ class HttpShuffleConsumer(ShuffleConsumer):
                     self._start_memory_merge()
 
     def _fetch_segment(self, meta: MapOutputMeta) -> Generator[Event, Any, float]:
-        """One segment fetch, with recovery.
+        """One segment fetch, with the shared recovery.
 
-        Retries with back-off / penalty box on transient failures; after
-        ``fetch_retry_limit`` consecutive failures the output is reported
-        lost and the copier parks until the re-executed map's replacement
-        meta arrives, then fetches from the new host.  Without a fault plan
-        nothing fails, and this is one request.
+        A reported output parks the copier until the re-executed map's
+        replacement meta arrives, then it fetches from the new host.  A
+        corrupted wire transfer re-requests the whole segment from the top
+        of the loop (the HTTP copier has no partial-fetch resume).  Without
+        a fault plan nothing fails, and this is one request.
         """
         ctx = self.ctx
-        conf = ctx.conf
-        faults = ctx.faults
         failures = 0
         while True:
-            if faults is not None and faults.node_dead(self.node.name):
-                raise TaskFailure(f"reduce-{self.reduce_id}", self.attempt)
+            if ctx.faults is not None:
+                self._check_own_node()
             # Always chase the *current* copy of the output: a replacement
             # may have been committed while this copier was backing off.
             current = ctx.map_outputs.get(meta.map_id)
@@ -323,41 +278,23 @@ class HttpShuffleConsumer(ShuffleConsumer):
                     self.node, meta.map_id, self.reduce_id
                 )
             except FaultError as exc:
-                if exc.kind == "corrupt":
-                    # Rotten on-disk output: retrying re-reads the same bad
-                    # bytes.  Report for condemnation and park for the
-                    # re-executed map's replacement.
-                    meta = yield from self._await_replacement(meta)
-                    failures = 0
-                    continue
-                t0 = ctx.sim.now
                 failures += 1
-                delay = self._fetch_backoff(host)
-                if failures >= conf.fetch_retry_limit:
+                if (yield from self._retry_or_report(exc, host, failures)):
                     meta = yield from self._await_replacement(meta)
                     failures = 0
-                    continue
-                yield ctx.sim.timeout(delay)
-                ctx.tracer.record(
-                    f"reduce-{self.reduce_id}", "retry", t0, ctx.sim.now, 0.0
-                )
                 continue
             if (
                 ctx.integrity is not None
                 and got > 0
-                and ctx.integrity.wire_corrupted(
-                    host,
-                    self.node.name,
-                    max(1.0, -(-got // 65536)),
-                    (meta.map_id, self.reduce_id),
-                )
+                and self._receive_corrupted(host, got, meta.map_id)
             ):
-                # Verify-on-receive failed: re-request the whole segment
-                # (the HTTP copier has no partial-fetch resume).
-                ctx.integrity.note_refetch()
                 continue
             self._note_fetch_success(host)
             return got
+
+    def packets_in(self, nbytes: float) -> float:
+        """The servlet streams the response in 64 KiB socket chunks."""
+        return max(1.0, -(-nbytes // 65536))
 
     def _await_replacement(
         self, meta: MapOutputMeta
@@ -373,8 +310,7 @@ class HttpShuffleConsumer(ShuffleConsumer):
             # cannot race past us.
             ev = Event(ctx.sim)
             self._replacement_events[meta.map_id] = ev
-        ctx.counters.add("shuffle.retry.reports", 1)
-        ctx.report_fetch_failure(meta)
+        self._report_lost(meta)
         new_meta = yield ev
         return new_meta
 
@@ -522,7 +458,6 @@ class HttpShuffleConsumer(ShuffleConsumer):
 
     def _reduce_phase(self) -> Generator[Event, Any, None]:
         """Consume the final merged stream: disk runs + leftover memory."""
-        sim = self.ctx.sim
         conf = self.ctx.conf
         cost = conf.costs
         disk_total = sum(f.size for f in self.disk_runs)

@@ -39,8 +39,7 @@ from repro.core.packets import Packetizer
 from repro.core.protocol import DataRequest, MapOutputMeta
 from repro.core.virtualmerge import VirtualMerger
 from repro.faults import FaultError
-from repro.mapreduce.maptask import TaskFailure
-from repro.mapreduce.shuffle.base import CreditGate, ShuffleConsumer, ShuffleProvider
+from repro.mapreduce.shuffle.base import ShuffleConsumer, ShuffleProvider
 from repro.sim.core import Event
 from repro.sim.resources import Store
 
@@ -107,11 +106,12 @@ class QueueingProvider(ShuffleProvider):
     def after_serve(
         self, req: DataRequest, meta: MapOutputMeta, eof: bool, cached: bool = False
     ) -> None:
-        """Hook after a response is sent (cache upkeep).
+        """Hook after a response is sent, or its send failed (cache upkeep).
 
         ``cached`` reports whether :meth:`fetch_payload` served this
         response from memory — the engine that pinned the segment for the
-        duration of the send uses it to release that pin.
+        duration of the send uses it to release that pin.  A failed send
+        passes ``eof=False``.
         """
 
     # -- request handling ----------------------------------------------------
@@ -153,71 +153,36 @@ class QueueingProvider(ShuffleProvider):
     ) -> Generator[Event, Any, None]:
         """RDMAResponder: answer one DataRequest through ``done``.
 
-        Failures are delivered *through* ``done`` (the requester's retry
-        loop handles them); the event is pre-defused so a cancelled
+        The shared serve checks run with the empty-range return between
+        the lookup and the segment draws.  Any failure, a check's or the
+        send's, is delivered *through* ``done`` (the requester's retry
+        loop handles it); the event is pre-defused so a cancelled
         requester doesn't turn the refusal into an unhandled failure.
         Without a fault plan none of them can happen.
         """
         ctx = self.ctx
-        faults = ctx.faults
-        if faults is not None:
-            stall = faults.stall_penalty(self.tt.name)
-            if stall > 0:
-                # Hung service threads: requests queued behind the stall
-                # are simply served late, the consumer just waits longer.
-                yield ctx.sim.timeout(stall)
-            if faults.node_dead(self.tt.name):
-                done.fail(FaultError("crash", self.tt.name)).defuse()
-                return
-            if faults.path_down(self.tt.name, requester.name):
-                done.fail(
-                    FaultError("link", f"{self.tt.name}<->{requester.name}")
-                ).defuse()
-                return
-        entry = self.tt.map_outputs.get(req.map_id)
-        if entry is None:
-            # Output condemned after the request was queued.
-            done.fail(FaultError("lost", f"map {req.map_id}")).defuse()
-            return
-        meta, file = entry
-        seg_bytes, _seg_pairs = meta.segment(req.reduce_id)
-        take = max(0.0, min(req.max_bytes, seg_bytes - req.offset))
-        if take <= 0:
-            done.succeed(0.0)
-            return
-        integ = ctx.integrity
-        if integ is not None:
-            kind = integ.segment_serve_fault(self.tt.name, file.name)
-            if kind is not None:
-                done.fail(FaultError(kind, f"map {req.map_id} segment")).defuse()
-                return
-        if faults is not None and faults.disk_read_fails(self.tt.name):
-            if integ is not None:
-                integ.note_disk_error(self.tt.name)
-            done.fail(FaultError("disk", f"map {req.map_id} spill read")).defuse()
-            return
-        cached = yield from self.fetch_payload(req, meta, file, take)
-        if integ is not None:
-            if cached:
-                integ.settle_serve(self.tt.name, file.name)
-            else:
-                status = integ.check_segment_read(self.tt.name, file, take)
-                if status == "persistent":
-                    # The canonical on-disk output is rotten: no retry can
-                    # help, the consumer reports it for condemnation.
-                    done.fail(
-                        FaultError("corrupt", f"map {req.map_id} on-disk output")
-                    ).defuse()
-                    return
-                if status == "transient":
-                    done.fail(
-                        FaultError("checksum", f"map {req.map_id} segment read")
-                    ).defuse()
-                    return
-        avg_pair = self._avg_pair_bytes
-        pairs = max(1, int(round(take / avg_pair)))
-        plan = self._plan(take, pairs, avg_pair, self._max_pair_bytes)
+        cached = False
         try:
+            if ctx.faults is not None:
+                yield from self._serve_gate(requester)
+            meta, file = self._map_output(req.map_id)
+            seg_bytes, _seg_pairs = meta.segment(req.reduce_id)
+            take = max(0.0, min(req.max_bytes, seg_bytes - req.offset))
+            if take <= 0:
+                done.succeed(0.0)
+                return
+            integ = ctx.integrity
+            if ctx.faults is not None or integ is not None:
+                self._segment_faults(file, req.map_id)
+            cached = yield from self.fetch_payload(req, meta, file, take)
+            if integ is not None:
+                if cached:
+                    integ.settle_serve(self.tt.name, file.name)
+                else:
+                    self._verify_read(file, take, req.map_id)
+            avg_pair = self._avg_pair_bytes
+            pairs = max(1, int(round(take / avg_pair)))
+            plan = self._plan(take, pairs, avg_pair, self._max_pair_bytes)
             if not ctx.ucr.is_connected(self.tt.node, requester):
                 # The pair may have been torn down by a flap since the
                 # requester connected; pay re-establishment.
@@ -227,12 +192,15 @@ class QueueingProvider(ShuffleProvider):
                 messages=max(1, plan.n_packets),
             )
         except FaultError as exc:
+            if cached:
+                # Release the pin of a cache hit whose send failed.
+                self.after_serve(req, meta, False, cached=True)
             done.fail(exc).defuse()
             return
         self.bytes_served += take
         ctx.counters.add("shuffle.bytes", take)
         eof = req.offset + take >= seg_bytes
-        self.after_serve(req, meta, eof, cached=bool(cached))
+        self.after_serve(req, meta, eof, cached=cached)
         done.succeed(take)
 
 
@@ -279,16 +247,15 @@ class StreamingConsumer(ShuffleConsumer):
     ):
         super().__init__(ctx, tt, reduce_id, attempt)
         sim = ctx.sim
-        #: Shuffle-buffer bytes; enforced through per-run fetch targets
-        #: (sum of targets <= capacity) rather than a blocking reservation,
-        #: which keeps the fetch/merge loop deadlock-free by construction.
-        self.capacity = ctx.shuffle_buffer_bytes()
+        # The shuffle buffer (``capacity``) is enforced through per-run
+        # fetch targets (sum of targets <= capacity) rather than a blocking
+        # reservation, which keeps the fetch/merge loop deadlock-free by
+        # construction.
         self.vm = VirtualMerger(expected_runs=ctx.n_maps)
         self.states: dict[int, FetchState] = {}
         self._levitated_budget = self.capacity / 2.0
         self._staging_active = 0
         self._progress = Event(sim)
-        self.jitter = ctx.jitter(f"reduce-{reduce_id}")
         # O(1) fetch scheduling: states with possible eager work sit in the
         # work queue; states at their read-ahead target are parked until the
         # merge frontier advances; a counter tracks not-yet-finished runs.
@@ -312,13 +279,7 @@ class StreamingConsumer(ShuffleConsumer):
         #: Bytes reserved by in-flight in-memory fetches (admitted before
         #: the first yield, so concurrent fetchers cannot double-admit).
         self._inflight_mem = 0.0
-        self._mem_hwm = 0.0
         self._spill_seq = 0  # distinct pass-file names for disk merges
-        self._credit_gate = (
-            CreditGate(ctx, f"reduce-{reduce_id}", conf.recv_credits)
-            if conf.recv_credits > 0
-            else None
-        )
         # -- per-consumer constants of the fetch scheduler --------------------
         #: How many of the lowest-coverage runs ``_pick`` considers.
         self._bottleneck_k = 2 * self.fetch_threads()
@@ -350,8 +311,7 @@ class StreamingConsumer(ShuffleConsumer):
         raise NotImplementedError
 
     def packets_in(self, nbytes: float) -> float:
-        """Packets one exchange of ``nbytes`` rides in (integrity's wire
-        model: per-packet corruption compounds over the exchange)."""
+        """RDMA-tuned packets (Hadoop-A overrides with its fixed pairs)."""
         return max(1.0, -(-nbytes // self.ctx.conf.rdma_packet_bytes))
 
     # -- control-plane actuators (repro.control) --------------------------------
@@ -400,11 +360,7 @@ class StreamingConsumer(ShuffleConsumer):
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def run(self) -> Generator[Event, Any, None]:
-        sim = self.ctx.sim
-        if self.ctx.faults is not None:
-            self.ctx.board.add_replacement_listener(self._on_replacement)
-        inbox = self.ctx.board.subscribe()
+    def _reduce(self, inbox: Store) -> Generator[Event, Any, None]:
         collector = self._spawn(
             self._collector(inbox), name=f"r{self.reduce_id}-collector"
         )
@@ -413,13 +369,7 @@ class StreamingConsumer(ShuffleConsumer):
             for i in range(self.fetch_threads())
         ]
         pipeline = self._spawn(self._pipeline(), name=f"r{self.reduce_id}-pipeline")
-        try:
-            yield self._gather_on([collector, *fetchers, pipeline])
-        finally:
-            if self.ctx.faults is not None:
-                self.ctx.board.remove_replacement_listener(self._on_replacement)
-        if self.ctx.conf.backpressure_active:
-            self.ctx.counters.peak("shuffle.mem.high_water_bytes", self._mem_hwm)
+        yield self._gather_on([collector, *fetchers, pipeline])
         # reduce.completed is counted by the JobTracker at commit time
         # (commit-once: a losing speculative attempt that finishes its
         # pipeline must not count).
@@ -783,20 +733,16 @@ class StreamingConsumer(ShuffleConsumer):
     def _request(
         self, state: FetchState, nbytes: float
     ) -> Generator[Event, Any, float]:
-        """RDMACopier: one exchange, with recovery.
+        """RDMACopier: one exchange, with the shared recovery.
 
-        Retries transient failures with back-off and the penalty box,
-        and reports a run lost after ``fetch_retry_limit`` consecutive
-        failures (or at once when the on-disk output is rotten).  Without
-        a fault plan nothing fails, and this is one raw exchange.
+        A reported run is marked lost and returns 0 bytes; it stays parked
+        until :meth:`_on_replacement` re-points it.  Without a fault plan
+        nothing fails, and this is one raw exchange.
         """
         ctx = self.ctx
-        conf = ctx.conf
-        faults = ctx.faults
         while True:
-            if faults is not None and faults.node_dead(self.node.name):
-                # Our own node is gone; the whole reduce attempt dies.
-                raise TaskFailure(f"reduce-{self.reduce_id}", self.attempt)
+            if ctx.faults is not None:
+                self._check_own_node()
             if state.lost:
                 return 0.0  # parked until the replacement arrives
             host = state.meta.host
@@ -807,29 +753,13 @@ class StreamingConsumer(ShuffleConsumer):
             try:
                 got = yield from self._request_once(state, nbytes)
             except FaultError as exc:
-                if exc.kind == "corrupt":
-                    # The on-disk output itself is rotten: retrying reads
-                    # the same bad bytes.  Report immediately — recovery
-                    # is condemnation + map re-execution.
-                    if not state.lost:
-                        state.lost = True
-                        ctx.counters.add("shuffle.retry.reports", 1)
-                        ctx.report_fetch_failure(state.meta)
-                    return 0.0
-                t0 = ctx.sim.now
                 state.failures += 1
-                delay = self._fetch_backoff(host)
-                if state.failures >= conf.fetch_retry_limit:
-                    if not state.lost:
-                        state.lost = True
-                        ctx.counters.add("shuffle.retry.reports", 1)
-                        ctx.report_fetch_failure(state.meta)
-                    return 0.0
-                yield ctx.sim.timeout(delay)
-                ctx.tracer.record(
-                    f"reduce-{self.reduce_id}", "retry", t0, ctx.sim.now, 0.0
-                )
-                continue
+                if not (yield from self._retry_or_report(exc, host, state.failures)):
+                    continue
+                if not state.lost:
+                    state.lost = True
+                    self._report_lost(state.meta)
+                return 0.0
             self._note_fetch_success(host)
             state.failures = 0
             return got
@@ -843,7 +773,6 @@ class StreamingConsumer(ShuffleConsumer):
         if not ctx.ucr.is_connected(self.node, tt_node):
             yield from ctx.ucr.connect(self.node, tt_node)
         t0 = ctx.sim.now
-        integ = ctx.integrity
         while True:
             state.seqno += 1
             req = DataRequest(
@@ -860,20 +789,14 @@ class StreamingConsumer(ShuffleConsumer):
             assert isinstance(provider, QueueingProvider)
             provider.submit(req, done, self.node)
             got = yield done
+            # Verify-on-receive: a corrupted exchange re-requests the same
+            # range from the source TaskTracker.
             if (
-                integ is None
+                ctx.integrity is None
                 or got <= 0
-                or not integ.wire_corrupted(
-                    state.meta.host,
-                    self.node.name,
-                    self.packets_in(got),
-                    (state.meta.map_id, self.reduce_id),
-                )
+                or not self._receive_corrupted(state.meta.host, got, state.meta.map_id)
             ):
                 break
-            # Verify-on-receive failed: the exchange arrived corrupted.
-            # Re-request the same range from the source TaskTracker.
-            integ.note_refetch()
         if ctx.conf.ucr_tracing:
             # Pure network/service wait for this exchange, distinct from
             # the "shuffle" span (which includes admission + bookkeeping):

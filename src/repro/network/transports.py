@@ -28,7 +28,7 @@ the presets here are the physical layer of that calibration.
 from __future__ import annotations
 
 from collections.abc import Generator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.sim.core import Event, Simulator
@@ -72,10 +72,6 @@ class TransportSpec:
     wire_packet_bytes: float
     #: True when the data path bypasses the OS (RDMA).
     os_bypass: bool
-
-    def scaled(self, **overrides: Any) -> "TransportSpec":
-        """A copy with selected fields overridden."""
-        return replace(self, **overrides)
 
     def wire_bytes(self, payload: float) -> float:
         """Bytes that actually cross the link for ``payload`` bytes."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Generator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.sim.core import Event, Simulator
@@ -49,9 +49,6 @@ class DiskSpec:
     seek_time: float
     #: Fixed per-request overhead (controller/command), seconds.
     per_request_overhead: float
-
-    def scaled(self, **overrides: Any) -> "DiskSpec":
-        return replace(self, **overrides)
 
 
 # Presets for the paper's testbed (§IV-A).  Era-typical sequential rates:

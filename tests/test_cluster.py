@@ -1,5 +1,7 @@
 """Tests for cluster presets, node construction, and the builder."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import (
@@ -88,7 +90,7 @@ def test_node_compute_holds_core():
 
 def test_node_compute_contention():
     """More work than cores serialises."""
-    spec = westmere_node("n").scaled(cores=2)
+    spec = dataclasses.replace(westmere_node("n"), cores=2)
     cluster = build_cluster([spec], "ipoib")
     node = cluster.nodes[0]
 

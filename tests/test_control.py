@@ -275,6 +275,10 @@ def make_consumer(now=0.0, penalty_box_after=2, **overrides):
         tracer=PhaseTracer(enabled=False),
         conf=conf,
         rng=RandomStreams(99),
+        faults=None,
+        journal=None,
+        shuffle_buffer_bytes=lambda: 0.0,
+        jitter=lambda stream: 1.0,
     )
     tt = SimpleNamespace(node=None)
     return ShuffleConsumer(ctx, tt, reduce_id=0)

@@ -1,5 +1,7 @@
 """Tests for transport presets, the Transport send path, UCR, and Fabric."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import build_cluster, westmere_cluster
@@ -39,7 +41,7 @@ def test_preset_physics_sanity():
 
 
 def test_spec_scaled_override():
-    faster = IPOIB.scaled(effective_stream_bw=2000 * MB)
+    faster = dataclasses.replace(IPOIB, effective_stream_bw=2000 * MB)
     assert faster.effective_stream_bw == 2000 * MB
     assert faster.latency == IPOIB.latency
     assert IPOIB.effective_stream_bw == 1250 * MB  # original untouched

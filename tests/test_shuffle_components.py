@@ -18,6 +18,8 @@ from repro.core.protocol import (
 from repro.mapreduce.context import JobContext
 from repro.mapreduce.job import terasort_job
 from repro.core.virtualmerge import VirtualMerger
+from repro.faults import FaultPlan, LinkFlap
+from repro.network.transports import IB_VERBS
 from repro.mapreduce.shuffle.hadoopa import HadoopAConsumer, HadoopAProvider
 from repro.mapreduce.shuffle.http import HttpShuffleProvider
 from repro.mapreduce.shuffle.levitated import FetchState
@@ -149,6 +151,35 @@ def test_rdma_eof_evicts_cached_segment():
     req = DataRequest(ctx.conf.job_id, 0, 0, offset=0.0, max_bytes=seg_bytes)
     _fetch(ctx, provider, cluster.nodes[1], req)
     assert (0, 0) not in provider.cache  # sole consumer done -> freed
+
+
+def test_rdma_failed_cached_send_releases_its_pin():
+    """A cache hit pins its segment for the send; a send that fails must
+    unpin it, or the entry can never be evicted, shed or invalidated.
+
+    The pair's endpoint was torn down, so the responder re-connects after
+    the hit; a link flap starting mid-connect fails the send.
+    """
+    setup = IB_VERBS.setup_latency + 2 * IB_VERBS.latency
+    flap = LinkFlap(at=1.0 + setup / 2, node="node01", duration=1.0)
+    cluster, ctx = make_ctx("rdma", fault_plan=FaultPlan(flaps=(flap,), name="flap"))
+    tt = TaskTracker(ctx, cluster.nodes[0])
+    tt.provider = provider = RdmaShuffleProvider(ctx, tt)
+    ctx.trackers[tt.name] = tt
+    publish_output(ctx, tt)
+    cluster.sim.run(until=1.0)  # let the prefetcher copy
+    assert (0, 0) in provider.cache
+    requester = cluster.nodes[1]
+    assert not ctx.ucr.is_connected(tt.node, requester)
+    req = DataRequest(ctx.conf.job_id, 0, 0, offset=0.0, max_bytes=1 * MB)
+    done = Event(cluster.sim)
+    provider.submit(req, done, requester)
+    cluster.sim.run(until=1.0 + 2 * setup)
+    assert done.triggered and not done.ok
+    assert done.value.kind == "link"
+    assert ctx.counters.get("cache.hits", 0) == 1
+    assert provider.cache._entries[(0, 0)].pinned == 0
+    assert provider.cache.evict((0, 0))
 
 
 def test_rdma_caching_disabled_has_no_prefetcher():

@@ -1,5 +1,7 @@
 """Speculative execution and straggler handling."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import build_cluster, westmere_cluster
@@ -12,7 +14,7 @@ GB = 1024**3
 def straggler_cluster(n=4, slow_index=0, speed=0.25):
     """A cluster whose node ``slow_index`` computes at ``speed`` pace."""
     specs = westmere_cluster(n)
-    specs[slow_index] = specs[slow_index].scaled(cpu_speed=speed)
+    specs[slow_index] = dataclasses.replace(specs[slow_index], cpu_speed=speed)
     return build_cluster(specs, "ipoib")
 
 

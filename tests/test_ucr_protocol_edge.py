@@ -1,5 +1,7 @@
 """Edge-case tests: context sizing, completion board, and misc paths."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import build_cluster, westmere_cluster
@@ -33,7 +35,7 @@ def test_cache_capacity_larger_on_storage_nodes():
 
 
 def test_cache_capacity_never_negative():
-    tiny = westmere_node("t").scaled(ram_bytes=2.0 * GB)
+    tiny = dataclasses.replace(westmere_node("t"), ram_bytes=2.0 * GB)
     cluster = build_cluster([tiny, westmere_node("u")], "ipoib")
     ctx = JobContext(cluster, terasort_job(1 * GB, 2, "rdma"))
     assert ctx.cache_capacity_bytes(cluster.nodes[0]) == 0.0
@@ -54,7 +56,7 @@ def test_jitter_bounded_and_deterministic():
 
 
 def test_jitter_disabled():
-    _c, ctx = make_ctx(costs=terasort_job(1 * GB, 2, "rdma").costs.scaled(cpu_jitter=0.0))
+    _c, ctx = make_ctx(costs=dataclasses.replace(terasort_job(1 * GB, 2, "rdma").costs, cpu_jitter=0.0))
     assert ctx.jitter("anything") == 1.0
 
 
